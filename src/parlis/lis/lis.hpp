@@ -108,22 +108,13 @@ void seq_patience_ranks_into(std::span<const T> a, LisResult& res,
 template <typename T, typename Less = std::less<T>>
 void seq_patience_frontiers_into(std::span<const T> a, LisFrontiers& res,
                                  std::vector<T>& tails, Less less = Less{}) {
+  // Borrows res.rank's buffer, so warm calls stay allocation-free.
+  LisResult ranks{std::move(res.rank), 0};
+  seq_patience_ranks_into<T, Less>(a, ranks, tails, less);
+  res.rank = std::move(ranks.rank);
+  res.k = ranks.k;
   const int64_t n = static_cast<int64_t>(a.size());
-  res.rank.assign(a.size(), 0);
-  res.k = 0;
   res.frontier_flat.resize(n);
-  tails.clear();
-  for (int64_t i = 0; i < n; i++) {
-    if ((i & 4095) == 0) internal::poll_cancellation();
-    auto it = std::lower_bound(tails.begin(), tails.end(), a[i], less);
-    res.rank[i] = static_cast<int32_t>(it - tails.begin()) + 1;
-    if (it == tails.end()) {
-      tails.push_back(a[i]);
-    } else if (less(a[i], *it)) {
-      *it = a[i];
-    }
-  }
-  res.k = static_cast<int32_t>(tails.size());
   res.frontier_offset.assign(static_cast<size_t>(res.k) + 1, 0);
   for (int64_t i = 0; i < n; i++) res.frontier_offset[res.rank[i]]++;
   for (int32_t r = 0; r < res.k; r++) {
@@ -186,7 +177,9 @@ void lis_frontiers_into(std::span<const T> a, LisFrontiers& res,
     const int64_t m =
         tree.extract_frontier_collect_into(res.frontier_flat.data() + off);
     const int64_t* f = res.frontier_flat.data() + off;
-    parallel_for(0, m, [&](int64_t j) { res.rank[f[j]] = r; });
+    // An explicit grain keeps the ~10-report frontiers of large-k inputs
+    // inline: the default grain splits any m >= 2 and forks once per round.
+    parallel_for(0, m, [&](int64_t j) { res.rank[f[j]] = r; }, 2048);
     off += m;
     res.frontier_offset.push_back(off);
   }
@@ -216,13 +209,10 @@ int64_t lis_length(const std::vector<T>& a,
 /// the strict algorithm through the shared rank-space pass under the
 /// kNonDecreasing ties policy (stable (value, index) ranking), so the
 /// tournament tree runs on the one shared int64 rank kernel instead of
-/// instantiating over (value, index) pairs. The `inf` parameter is retained
-/// for signature compatibility but unused: ranks are dense, so n is always
-/// a valid sentinel.
+/// instantiating over (value, index) pairs. Ranks are dense, so n is always
+/// a valid sentinel and the caller supplies none.
 template <typename T>
-LisResult longest_nondecreasing_ranks(
-    const std::vector<T>& a, T inf = std::numeric_limits<T>::max()) {
-  (void)inf;
+LisResult longest_nondecreasing_ranks(const std::vector<T>& a) {
   RankSpace rs = rank_space<T>(std::span<const T>(a.data(), a.size()),
                                TiesPolicy::kNonDecreasing);
   LisResult res;
@@ -233,18 +223,14 @@ LisResult longest_nondecreasing_ranks(
 }
 
 template <typename T>
-int64_t longest_nondecreasing_length(
-    const std::vector<T>& a, T inf = std::numeric_limits<T>::max()) {
-  return longest_nondecreasing_ranks(a, inf).k;
+int64_t longest_nondecreasing_length(const std::vector<T>& a) {
+  return longest_nondecreasing_ranks(a).k;
 }
 
 /// Best decisions (Appendix A): d[i] is the index of A_i's predecessor in an
 /// LIS ending at A_i (-1 for rank-1 objects). By Lemma A.1 / A.2 this is the
 /// last object of the previous frontier with index < i.
-template <typename T>
-std::vector<int64_t> lis_decisions(const std::vector<T>& a,
-                                   const LisFrontiers& fr) {
-  (void)a;
+inline std::vector<int64_t> lis_decisions(const LisFrontiers& fr) {
   std::vector<int64_t> d(fr.rank.size(), -1);
   for (int32_t r = 2; r <= fr.k; r++) {
     const int64_t* prev = fr.frontier_flat.data() + fr.frontier_offset[r - 2];
@@ -267,7 +253,7 @@ std::vector<int64_t> lis_sequence(const std::vector<T>& a,
                                   T inf = std::numeric_limits<T>::max()) {
   LisFrontiers fr = lis_frontiers(a, inf);
   if (fr.k == 0) return {};
-  std::vector<int64_t> d = lis_decisions(a, fr);
+  std::vector<int64_t> d = lis_decisions(fr);
   // Start from any object of the last frontier and follow decisions back.
   std::vector<int64_t> seq(fr.k);
   int64_t cur = fr.frontier_flat[fr.frontier_offset[fr.k - 1]];

@@ -35,11 +35,34 @@
 // Entering a node still guarantees a report beneath it, which is what the
 // work bound charges against.
 //
-// Traversals fork only in the top tree; inside a block they run sequentially
-// and batch their visit count into a single WorkerCounter update, so
-// instrumentation costs one cache-local store per block visit instead of a
-// shared atomic RMW per node (the counter counts considered child entries,
-// the 8-ary analogue of per-node visits).
+// Fork rule. Traversals fork only in the top tree, and there only where
+// parallel work exists: at a node whose two children both qualify (each
+// subtree holds a report) during a pass predicted *large*. A pass is large
+// when the previous pass charged more than a grain G = 8192 entries; the
+// first pass of a tree counts as large. A pass predicted small runs inline
+// on the calling thread, and once its inline prefix has charged G entries
+// it turns forking for the rest of the pass, so a misprediction (a frontier
+// jumping from 1 to n-1) costs at most G sequential entries. The flag flips
+// only while one thread runs the pass, before any fork. Pass 2 of the
+// Appendix A extraction is predicted from pass 1, which visits exactly the
+// same nodes. On large-k inputs (thousands of rounds of ~10 reports each)
+// every round stays inline and pays no fork/join at all.
+//
+// Span: a forking pass has the old traversal's span, O(log n) top levels
+// plus one block walk. A mispredicted pass adds at most G entries plus, for
+// the inline ancestors still on the stack at the flip, their right subtrees
+// run after their left ones — O(log n) internally-forking subtrees, each of
+// span O(log n + block). Either way a round keeps polylog span plus the
+// constant G, so k rounds keep the Õ(k) span of Thm. 1.1. Work does not
+// depend on the fork decisions: the parent decides which children qualify
+// and charges each pruned child exactly one visit, so nodes_visited() and
+// the Thm. 3.2 accounting are the same at every worker count.
+//
+// Inside a block traversals run sequentially and batch their visit count
+// into a single WorkerCounter update, so instrumentation costs one
+// cache-local store per block visit instead of a shared atomic RMW per node
+// (the counter counts considered child entries, the 8-ary analogue of
+// per-node visits).
 //
 // Storage lives in a TournamentStorage<T>, either owned by the tree (the
 // one-shot free functions) or injected by the caller (the Solver warm path:
@@ -123,13 +146,13 @@ class TournamentTree {
   uint64_t nodes_visited() const { return st_->visits.read() - base_visits_; }
 
   /// Alg. 1 ProcessFrontier: visits every prefix-min leaf, calls
-  /// visit(leaf_index) for each, and removes them. Blocks are visited in
-  /// parallel; `visit` must be safe to call concurrently for distinct
-  /// indices.
+  /// visit(leaf_index) for each, and removes them. Blocks may be visited
+  /// in parallel (see the fork rule above); `visit` must be safe to call
+  /// concurrently for distinct indices.
   template <typename Visit>
   void extract_frontier(const Visit& visit) {
     if (empty()) return;
-    top_extract(1, inf_, visit);
+    run_pass<Pass::kExtract>(visit, nullptr);
   }
 
   /// Appendix A two-pass variant: returns the frontier's leaf indices sorted
@@ -137,7 +160,7 @@ class TournamentTree {
   std::vector<int64_t> extract_frontier_collect() {
     if (empty()) return {};
     std::vector<int64_t> out(count_frontier());
-    top_place(1, inf_, out.data());
+    run_pass<Pass::kPlace>(NoVisit{}, out.data());
     return out;
   }
 
@@ -148,7 +171,7 @@ class TournamentTree {
   int64_t extract_frontier_collect_into(int64_t* out) {
     if (empty()) return 0;
     int64_t m = count_frontier();
-    top_place(1, inf_, out);
+    run_pass<Pass::kPlace>(NoVisit{}, out);
     return m;
   }
 
@@ -268,93 +291,106 @@ class TournamentTree {
       st_->count.assign(2 * top_leaves_, 0);
     }
     count_ = st_->count.data();
-    return top_count(1, inf_);
+    return run_pass<Pass::kCount>(NoVisit{}, nullptr);
   }
 
   // ---------------------------------------------------------- top tree ---
-  // Standard binary prefix-min descent over the per-block minima; reaching
-  // top leaf i (block b = i - top_leaves_) hands off to the sequential
-  // in-block scans and refreshes the cached block minimum on unwind. A top
-  // leaf and its block are the same conceptual subtree, so the pruned case
-  // is counted here (without touching block storage) and the entered case
-  // is counted entirely by the in-block walk.
+  // One binary prefix-min descent over the per-block minima serves all three
+  // passes. Reaching top leaf i (block b = i - top_leaves_) hands off to the
+  // sequential in-block scans; the extracting passes refresh the cached
+  // block minimum on unwind. A node is only ever called once its parent has
+  // found it qualifying (pre-round minimum <= the bound, and live); the
+  // parent charges one visit per pruned child instead of calling it, and a
+  // top leaf's entered block is counted entirely by the in-block walk.
+  //
+  // kCount (Appendix A pass 1) leaves the tree untouched, returns the
+  // frontier size below i and stores each entered node's left-child count;
+  // kPlace (pass 2) reads those counts to hand the right child its output
+  // offset; kExtract reports through `visit`.
+  enum class Pass { kExtract, kCount, kPlace };
+  struct NoVisit {
+    void operator()(int64_t) const {}
+  };
 
-  template <typename Visit>
-  void top_extract(int64_t i, const T& lmin, const Visit& visit) {
-    if (less_(lmin, top_[i]) || !less_(top_[i], inf_)) {
-      st_->visits.add(1);
-      return;
-    }
-    if (i >= top_leaves_) {
-      T* blk = block(i - top_leaves_);
-      uint64_t vis = 0;
-      block_extract(blk, (i - top_leaves_) * kBlockLeaves, lmin, visit, vis);
-      st_->visits.add(vis);
-      top_[i] = min8_post(blk);
-      return;
-    }
-    st_->visits.add(1);
-    T left_min = top_[2 * i];  // read before the left recursion mutates it
-    par_do([&] { top_extract(2 * i, lmin, visit); },
-           [&] {
-             const T& rmin = less_(left_min, lmin) ? left_min : lmin;
-             top_extract(2 * i + 1, rmin, visit);
-           });
-    top_[i] = less_(top_[2 * i + 1], top_[2 * i]) ? top_[2 * i + 1] : top_[2 * i];
+  // A round predicted small runs inline until it has charged this many
+  // entries; the fork rule in the header comment explains the choice.
+  static constexpr uint64_t kForkGrain = 8192;
+
+  bool qualifies(const T& v, const T& bound) const {
+    return !less_(bound, v) && less_(v, inf_);
   }
 
-  int64_t top_count(int64_t i, const T& lmin) {
-    if (less_(lmin, top_[i]) || !less_(top_[i], inf_)) {
-      st_->visits.add(1);
-      count_[i] = 0;
-      return 0;
-    }
+  // Charges `d` considered entries. While the pass runs inline it is the
+  // only thread touching the tree, so it may flip fork_ once its prefix has
+  // charged the grain; after the flip (or in a pass that started forking)
+  // fork_ is only read.
+  void charge(uint64_t d) {
+    st_->visits.add(d);
+    if (!fork_ && (inline_vis_ += d) > kForkGrain) fork_ = true;
+  }
+
+  // Runs one pass from the (non-empty) root under the fork rule and
+  // predicts the next pass from this one's visit delta.
+  template <Pass P, typename Visit>
+  int64_t run_pass(const Visit& visit, int64_t* out) {
+    const bool predicted_large = large_;
+    const uint64_t before = predicted_large ? st_->visits.read() : 0;
+    fork_ = predicted_large;
+    inline_vis_ = 0;
+    const int64_t c = top_walk<P>(1, inf_, visit, out);
+    // An inline pass that never flipped charged at most the grain; one that
+    // flipped charged more. Only a pass that forked from its root needs the
+    // (per-worker-summed) counter to learn its size.
+    large_ = predicted_large ? st_->visits.read() - before > kForkGrain
+                             : fork_;
+    return c;
+  }
+
+  template <Pass P, typename Visit>
+  int64_t top_walk(int64_t i, const T& lmin, const Visit& visit,
+                   int64_t* out) {
     if (i >= top_leaves_) {
+      T* blk = block(i - top_leaves_);
+      const int64_t base = (i - top_leaves_) * kBlockLeaves;
       uint64_t vis = 0;
-      int64_t c = block_count(block(i - top_leaves_), lmin, vis);
-      st_->visits.add(vis);
-      count_[i] = c;
+      int64_t c = 0;
+      if constexpr (P == Pass::kCount) {
+        c = block_count(blk, lmin, vis);
+      } else if constexpr (P == Pass::kPlace) {
+        // In-block reporting is in leaf order, so pass 2 needs no per-node
+        // counts below the top tree — a moving cursor replaces them.
+        block_extract(blk, base, lmin, [&](int64_t idx) { *out++ = idx; },
+                      vis);
+      } else {
+        block_extract(blk, base, lmin, visit, vis);
+      }
+      charge(vis);
+      if constexpr (P != Pass::kCount) top_[i] = min8_post(blk);
       return c;
     }
-    st_->visits.add(1);
+    const T left_min = top_[2 * i];  // read before the left descent mutates it
+    const T& rmin = less_(left_min, lmin) ? left_min : lmin;
+    const bool lq = qualifies(left_min, lmin);
+    const bool rq = qualifies(top_[2 * i + 1], rmin);
+    charge(1 + !lq + !rq);
+    // count_[2i] is 0 when pass 1 pruned the left child.
+    int64_t* rout = nullptr;
+    if constexpr (P == Pass::kPlace) rout = out + count_[2 * i];
     int64_t cl = 0, cr = 0;
-    T left_min = top_[2 * i];
-    par_do([&] { cl = top_count(2 * i, lmin); },
-           [&] {
-             const T& rmin = less_(left_min, lmin) ? left_min : lmin;
-             cr = top_count(2 * i + 1, rmin);
-           });
-    count_[i] = cl + cr;
-    return count_[i];
-  }
-
-  void top_place(int64_t i, const T& lmin, int64_t* out) {
-    if (less_(lmin, top_[i]) || !less_(top_[i], inf_)) {
-      st_->visits.add(1);
-      return;
+    auto left = [&] { cl = top_walk<P>(2 * i, lmin, visit, out); };
+    auto right = [&] { cr = top_walk<P>(2 * i + 1, rmin, visit, rout); };
+    if (lq && rq && fork_) {
+      par_do(left, right);
+    } else {
+      if (lq) left();
+      if (rq) right();
     }
-    if (i >= top_leaves_) {
-      T* blk = block(i - top_leaves_);
-      uint64_t vis = 0;
-      int64_t* cursor = out;
-      // In-block reporting is in leaf order, so pass 2 needs no per-node
-      // counts below the top tree — a moving cursor replaces them.
-      block_extract(blk, (i - top_leaves_) * kBlockLeaves, lmin,
-                    [&](int64_t idx) { *cursor++ = idx; }, vis);
-      st_->visits.add(vis);
-      top_[i] = min8_post(blk);
-      return;
+    if constexpr (P == Pass::kCount) {
+      count_[2 * i] = cl;
+      return cl + cr;
     }
-    st_->visits.add(1);
-    T left_min = top_[2 * i];
-    // count_[2i] is 0 when pass 1 skipped the left child, so no branch needed.
-    int64_t skip = count_[2 * i];
-    par_do([&] { top_place(2 * i, lmin, out); },
-           [&] {
-             const T& rmin = less_(left_min, lmin) ? left_min : lmin;
-             top_place(2 * i + 1, rmin, out + skip);
-           });
     top_[i] = less_(top_[2 * i + 1], top_[2 * i]) ? top_[2 * i + 1] : top_[2 * i];
+    return 0;
   }
 
   // ------------------------------------------------------------ blocks ---
@@ -565,6 +601,9 @@ class TournamentTree {
   T* top_ = nullptr;           // st_->top.data()
   int64_t* count_ = nullptr;   // st_->count.data(), set by count_frontier
   uint64_t base_visits_ = 0;   // visits already in the storage's counter
+  bool large_ = true;          // next pass predicted large (first one is)
+  bool fork_ = true;           // this pass forks where both children qualify
+  uint64_t inline_vis_ = 0;    // entries charged by this pass while inline
 };
 
 }  // namespace parlis

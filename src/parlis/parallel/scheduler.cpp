@@ -163,6 +163,10 @@ class Pool {
     if (p <= 0) p = 1;
     p_ = p;
     deques_ = std::make_unique<ChaseLevDeque[]>(p);
+    // Sized like a worker deque's initial buffer: an external thread's
+    // pending forks grow with how slowly thieves take them, so without it a
+    // loaded host could reallocate here mid-serving, long after warm-up.
+    external_.reserve(256);
     tl_worker_id = 0;  // the creating thread is worker 0
     threads_.reserve(p - 1);
     for (int i = 1; i < p; i++) {

@@ -217,7 +217,7 @@ TEST(LisSequence, ValidAndMaximal) {
 TEST(LisSequence, DecisionsPointToPreviousRank) {
   auto a = range_pattern(5000, 30, 13);
   LisFrontiers fr = lis_frontiers(a);
-  auto d = lis_decisions(a, fr);
+  auto d = lis_decisions(fr);
   for (size_t i = 0; i < a.size(); i++) {
     if (fr.rank[i] == 1) {
       EXPECT_EQ(d[i], -1);

@@ -64,7 +64,7 @@ TEST(Umbrella, EveryPublicEntryPointIsReachable) {
   EXPECT_EQ(lis_length(a), 4);
   LisFrontiers fr = lis_frontiers(a);
   EXPECT_EQ(fr.k, lr.k);
-  EXPECT_EQ(lis_decisions(a, fr).size(), a.size());
+  EXPECT_EQ(lis_decisions(fr).size(), a.size());
   EXPECT_EQ(static_cast<int32_t>(lis_sequence(a).size()), lr.k);
   EXPECT_EQ(longest_nondecreasing_length(a), 4);
   EXPECT_EQ(longest_nondecreasing_ranks(a).k, 4);
