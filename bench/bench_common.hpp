@@ -162,6 +162,41 @@ inline double time_median_of(int reps, const std::function<void()>& fn) {
   return ts[(ts.size() - 1) / 2];
 }
 
+/// Paired medians of a base and a test variant of one measurement: each rep
+/// runs base_fn then test_fn back to back, so machine drift hits both
+/// sides, and each side reports its own median (lower middle for even rep
+/// counts, as time_median_of). The micro_* harnesses pair the paper's
+/// baselines (Seq-BS, Seq-AVL, std::set) and scalar kernels with the code
+/// they measure this way.
+struct PairedMedian {
+  double base_s = 0;
+  double test_s = 0;
+  double base_ms() const { return base_s * 1e3; }
+  double test_ms() const { return test_s * 1e3; }
+  /// Time the test side saves relative to base, in percent (< 0: slower).
+  double speedup_pct() const {
+    return base_s > 0 ? 100.0 * (1.0 - test_s / base_s) : 0.0;
+  }
+};
+
+inline PairedMedian paired_median_of(int reps,
+                                     const std::function<void()>& base_fn,
+                                     const std::function<void()>& test_fn) {
+  std::vector<double> base_ts(reps > 0 ? reps : 1), test_ts(base_ts.size());
+  for (size_t r = 0; r < base_ts.size(); r++) {
+    Timer t;
+    base_fn();
+    base_ts[r] = t.elapsed();
+    t.reset();
+    test_fn();
+    test_ts[r] = t.elapsed();
+  }
+  std::sort(base_ts.begin(), base_ts.end());
+  std::sort(test_ts.begin(), test_ts.end());
+  size_t mid = (base_ts.size() - 1) / 2;
+  return {base_ts[mid], test_ts[mid]};
+}
+
 /// Accumulates and prints a "k, series..." table + CSV (the paper's plots
 /// are time-vs-k line series; the rows here regenerate one figure).
 class SeriesTable {

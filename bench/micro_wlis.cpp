@@ -1,448 +1,41 @@
-// Before/after microbenchmark for the weighted-LIS range-structure
-// overhaul (the counterpart of micro_hotpath, which gated the PR-1
-// lis/vEB work):
+// Weighted-LIS microbenchmark: the parallel WLIS pipelines against the
+// paper's sequential baseline, plus the SWGS dominance oracle.
 //
-//   wlis         — Alg. 2 with the range tree (Sec. 4.1). Seed: per-level
-//                  make_unique Fenwick arrays, a binary search per level on
-//                  every query and update. Current: arena-backed flat
-//                  levels, fractional-cascading bridge tables (O(1) label
-//                  descent), merge-computed update rank tables, truncated
-//                  bottom levels with direct leaf scans, allocation-free
-//                  round loop.
-//   wlis_veb     — Alg. 2 with the Range-vEB (Sec. 4.2), measured as a
-//                  layout A/B of the current pipeline: VebLayout::kLegacyNode
-//                  (the pre-word node-structured bottom, kept one release as
-//                  the baseline) vs kWordBlock (bit-packed word kernels).
-//                  The seed Range-vEB cannot run at n = 10^6 — it gave every
-//                  inner Mono-vEB a private 64KB arena chunk, which is tens
-//                  of gigabytes at this size — so the node layout is the
-//                  honest before-side. Gate: the word row must close at
-//                  least half of the node layout's per-op gap to the
-//                  range-tree `wlis` row.
-//   oracle_build — SWGS dominance-oracle construction. Seed: per-level
-//                  make_unique + three init passes + a root level that no
-//                  query ever reads. Current: arena-backed flat levels,
-//                  no root level, placement-init Fenwick slots.
+//   wlis         — Alg. 2 with the range tree (Sec. 4.1) vs Seq-AVL
+//                  (seq_avl_wlis, the augmented-AVL O(n log n) baseline of
+//                  the paper's evaluation), paired rep by rep.
+//   wlis_veb     — Alg. 2 with the Range-vEB (Sec. 4.2) over a prefix of
+//                  the same input, reported beside the range-tree row in
+//                  per-op ns (current code only).
+//   wlis_simd    — the range-tree pipeline with the SIMD kernels toggled
+//                  off and on between interleaved runs (util/simd.hpp).
+//   oracle_build — SWGS dominance-oracle construction (current code only).
 //
-// The *seed* implementations (range tree, oracle) are embedded below
-// (namespace seedref) exactly as they shipped, so one binary measures both
-// sides back to back;
-// runs are interleaved (seed, current, seed, ...) so machine drift cancels,
-// and medians are reported. Defaults match the acceptance
-// setup: wlis and wlis_veb over n = 10^6 uniform-random keys with uniform
-// [1,1000] weights.
+// Paired rows use paired_median_of (bench_common.hpp), so machine drift
+// cancels, and report medians. Defaults: wlis and wlis_veb over n = 10^6
+// uniform-random keys with uniform [1,1000] weights.
+//
+// Every pipeline is cross-checked against Seq-AVL dp values, and the oracle
+// against a brute-force dominator count, including after deletions.
 //
 // Flags: --n, --nveb, --norcl, --reps, --threads, --out FILE (BENCH_*.json
-// records), --strict (exit 2 unless the wlis speedup clears 25%; off by
-// default so tiny CI smoke sizes don't fail on noise).
+// records).
 #include <algorithm>
-#include <atomic>
-#include <bit>
-#include <cinttypes>
 #include <cstdio>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "bench/bench_common.hpp"
 #include "bench/bench_json.hpp"
-#include "parlis/lis/lis.hpp"
 #include "parlis/parallel/parallel.hpp"
-#include "parlis/parallel/primitives.hpp"
 #include "parlis/parallel/random.hpp"
 #include "parlis/swgs/dominance_oracle.hpp"
 #include "parlis/util/simd.hpp"
-#include "parlis/veb/veb_tree.hpp"
+#include "parlis/wlis/seq_avl.hpp"
 #include "parlis/wlis/wlis.hpp"
 
-namespace seedref {
-
-using parlis::merge_into;
-using parlis::parallel_for;
-using parlis::scan_exclusive_index;
-using parlis::sort_inplace;
-
-// ------------------------------------------------- seed range tree (4.1) ---
-// Verbatim seed behaviour: one merge-sort-tree level per power of two down
-// to width 1 (root included), a make_unique'd atomic Fenwick array per
-// level zeroed by a second pass, and a std::lower_bound per level on every
-// query and every update.
-
-class SeedRangeTreeMax {
- public:
-  explicit SeedRangeTreeMax(const std::vector<int64_t>& y_by_pos)
-      : n_(static_cast<int64_t>(y_by_pos.size())) {
-    if (n_ == 0) return;
-    int64_t width =
-        static_cast<int64_t>(std::bit_ceil(static_cast<uint64_t>(n_)));
-    std::vector<Level> rev;
-    {
-      Level leaf;
-      leaf.width = 1;
-      leaf.ys = y_by_pos;
-      rev.push_back(std::move(leaf));
-    }
-    while (rev.back().width < width) {
-      const Level& prev = rev.back();
-      Level next;
-      next.width = prev.width * 2;
-      next.ys.resize(n_);
-      int64_t nblocks = (n_ + next.width - 1) / next.width;
-      const Level* prev_ptr = &prev;
-      Level* next_ptr = &next;
-      parallel_for(0, nblocks, [&, prev_ptr, next_ptr](int64_t blk) {
-        int64_t lo = blk * next_ptr->width;
-        int64_t mid = std::min(n_, lo + prev_ptr->width);
-        int64_t hi = std::min(n_, lo + next_ptr->width);
-        merge_into(prev_ptr->ys.begin() + lo, mid - lo,
-                   prev_ptr->ys.begin() + mid, hi - mid,
-                   next_ptr->ys.begin() + lo, std::less<int64_t>{});
-      });
-      rev.push_back(std::move(next));
-    }
-    for (Level& lev : rev) {
-      lev.fenwick = std::make_unique<std::atomic<int64_t>[]>(n_);
-      parallel_for(0, n_, [&](int64_t i) {
-        lev.fenwick[i].store(0, std::memory_order_relaxed);
-      });
-    }
-    levels_.assign(std::make_move_iterator(rev.rbegin()),
-                   std::make_move_iterator(rev.rend()));
-  }
-
-  int64_t dominant_max(int64_t qpos, int64_t qy) const {
-    if (qpos <= 0 || n_ == 0) return 0;
-    qpos = std::min(qpos, n_);
-    int64_t best = 0;
-    int64_t node_start = 0;
-    for (size_t d = 0; d + 1 < levels_.size(); d++) {
-      const Level& child = levels_[d + 1];
-      int64_t mid = node_start + child.width;
-      if (qpos >= mid) {
-        int64_t len = std::min(mid, n_) - node_start;
-        if (len > 0) {
-          const int64_t* ys = child.ys.data() + node_start;
-          int64_t cnt = std::lower_bound(ys, ys + len, qy) - ys;
-          if (cnt > 0) {
-            best = std::max(
-                best, fenwick_prefix_max(child.fenwick.get() + node_start, cnt));
-          }
-        }
-        if (qpos == mid) return best;
-        node_start = mid;
-      }
-    }
-    if (qpos > node_start && node_start < n_) {
-      const Level& leaf = levels_.back();
-      if (leaf.ys[node_start] < qy) {
-        best = std::max(
-            best, leaf.fenwick[node_start].load(std::memory_order_relaxed));
-      }
-    }
-    return best;
-  }
-
-  void update(int64_t pos, int64_t score) {
-    int64_t y = levels_.back().ys[pos];
-    for (size_t d = 0; d < levels_.size(); d++) {
-      const Level& lev = levels_[d];
-      int64_t block = (pos / lev.width) * lev.width;
-      int64_t len = std::min(block + lev.width, n_) - block;
-      const int64_t* ys = lev.ys.data() + block;
-      int64_t idx = std::lower_bound(ys, ys + len, y) - ys;
-      fenwick_update(lev.fenwick.get() + block, len, idx, score);
-    }
-  }
-
- private:
-  struct Level {
-    int64_t width;
-    std::vector<int64_t> ys;
-    std::unique_ptr<std::atomic<int64_t>[]> fenwick;
-  };
-
-  static int64_t fenwick_prefix_max(const std::atomic<int64_t>* f,
-                                    int64_t count) {
-    int64_t best = 0;
-    for (int64_t i = count; i > 0; i -= i & (-i)) {
-      best = std::max(best, f[i - 1].load(std::memory_order_relaxed));
-    }
-    return best;
-  }
-  static void fenwick_update(std::atomic<int64_t>* f, int64_t len, int64_t idx,
-                             int64_t score) {
-    for (int64_t i = idx + 1; i <= len; i += i & (-i)) {
-      std::atomic<int64_t>& slot = f[i - 1];
-      int64_t cur = slot.load(std::memory_order_relaxed);
-      while (cur < score && !slot.compare_exchange_weak(
-                                cur, score, std::memory_order_relaxed)) {
-      }
-    }
-  }
-
-  int64_t n_;
-  std::vector<Level> levels_;
-};
-
-// --------------------------------------------- seed dominance oracle init ---
-// Verbatim seed behaviour: a root level that queries never read, one
-// make_unique'd Fenwick per level, and three initialization passes (value
-// init, zero store, lowbit store). Queries (count_dominators) are embedded
-// for the cross-check.
-
-class SeedDominanceOracle {
- public:
-  explicit SeedDominanceOracle(const std::vector<int64_t>& a)
-      : n_(static_cast<int64_t>(a.size())), a_(a) {
-    if (n_ == 0) return;
-    int64_t width =
-        static_cast<int64_t>(std::bit_ceil(static_cast<uint64_t>(n_)));
-    std::vector<Level> rev;
-    {
-      Level leaf;
-      leaf.width = 1;
-      leaf.values = a;
-      leaf.idx.resize(n_);
-      parallel_for(0, n_,
-                   [&](int64_t i) { leaf.idx[i] = static_cast<int32_t>(i); });
-      rev.push_back(std::move(leaf));
-    }
-    while (rev.back().width < width) {
-      const Level& prev = rev.back();
-      Level next;
-      next.width = prev.width * 2;
-      next.values.resize(n_);
-      next.idx.resize(n_);
-      int64_t nblocks = (n_ + next.width - 1) / next.width;
-      parallel_for(0, nblocks, [&](int64_t blk) {
-        int64_t lo = blk * next.width;
-        int64_t mid = std::min(n_, lo + prev.width);
-        int64_t hi = std::min(n_, lo + next.width);
-        int64_t i = lo, j = mid, o = lo;
-        auto less = [&](int64_t x, int64_t y) {
-          return prev.values[x] != prev.values[y]
-                     ? prev.values[x] < prev.values[y]
-                     : prev.idx[x] < prev.idx[y];
-        };
-        while (i < mid && j < hi) {
-          int64_t src = less(i, j) ? i++ : j++;
-          next.values[o] = prev.values[src];
-          next.idx[o++] = prev.idx[src];
-        }
-        while (i < mid) {
-          next.values[o] = prev.values[i];
-          next.idx[o++] = prev.idx[i++];
-        }
-        while (j < hi) {
-          next.values[o] = prev.values[j];
-          next.idx[o++] = prev.idx[j++];
-        }
-      });
-      rev.push_back(std::move(next));
-    }
-    for (Level& lev : rev) {
-      lev.alive = std::make_unique<std::atomic<int32_t>[]>(n_);
-      int64_t nblocks = (n_ + lev.width - 1) / lev.width;
-      parallel_for(0, n_, [&](int64_t i) {
-        lev.alive[i].store(0, std::memory_order_relaxed);
-      });
-      parallel_for(0, nblocks, [&](int64_t blk) {
-        int64_t lo = blk * lev.width;
-        int64_t len = std::min(n_, lo + lev.width) - lo;
-        std::atomic<int32_t>* f = lev.alive.get() + lo;
-        for (int64_t i = 1; i <= len; i++) {
-          f[i - 1].store(static_cast<int32_t>(i & (-i)),
-                         std::memory_order_relaxed);
-        }
-      });
-    }
-    levels_.assign(std::make_move_iterator(rev.rbegin()),
-                   std::make_move_iterator(rev.rend()));
-  }
-
-  int64_t count_dominators(int64_t i) const {
-    int64_t total = 0;
-    int64_t node_start = 0;
-    for (size_t d = 0; d + 1 < levels_.size(); d++) {
-      const Level& child = levels_[d + 1];
-      int64_t mid = node_start + child.width;
-      if (i >= mid) {
-        int64_t len = std::min(mid, n_) - node_start;
-        if (len > 0) {
-          const int64_t* vals = child.values.data() + node_start;
-          int64_t cnt = std::lower_bound(vals, vals + len, a_[i]) - vals;
-          if (cnt > 0) {
-            total += fenwick_prefix(child.alive.get() + node_start, cnt);
-          }
-        }
-        if (i == mid) return total;
-        node_start = mid;
-      }
-    }
-    if (i > node_start && node_start < n_) {
-      const Level& leaf = levels_.back();
-      if (leaf.values[node_start] < a_[i]) {
-        total += leaf.alive[node_start].load(std::memory_order_relaxed);
-      }
-    }
-    return total;
-  }
-
-  void erase(int64_t i) {
-    for (size_t d = 0; d < levels_.size(); d++) {
-      const Level& lev = levels_[d];
-      int64_t block = (i / lev.width) * lev.width;
-      int64_t len = std::min(block + lev.width, n_) - block;
-      const int64_t* vals = lev.values.data() + block;
-      const int32_t* idx = lev.idx.data() + block;
-      int64_t lo = 0, hi = len;
-      while (lo < hi) {
-        int64_t mid = (lo + hi) / 2;
-        bool before = vals[mid] != a_[i] ? vals[mid] < a_[i]
-                                         : idx[mid] < static_cast<int32_t>(i);
-        if (before) lo = mid + 1;
-        else hi = mid;
-      }
-      for (int64_t f = lo + 1; f <= len; f += f & (-f)) {
-        lev.alive[block + f - 1].fetch_sub(1, std::memory_order_relaxed);
-      }
-    }
-  }
-
- private:
-  struct Level {
-    int64_t width;
-    std::vector<int64_t> values;
-    std::vector<int32_t> idx;
-    std::unique_ptr<std::atomic<int32_t>[]> alive;
-  };
-
-  static int64_t fenwick_prefix(const std::atomic<int32_t>* f, int64_t count) {
-    int64_t sum = 0;
-    for (int64_t i = count; i > 0; i -= i & (-i)) {
-      sum += f[i - 1].load(std::memory_order_relaxed);
-    }
-    return sum;
-  }
-
-  int64_t n_;
-  std::vector<int64_t> a_;
-  std::vector<Level> levels_;
-};
-
-// ----------------------------------------------------- seed WLIS driver ---
-// Verbatim seed round loop: a fresh Item vector per Range-vEB round, point
-// updates routed one binary-search chain per level.
-
-struct ValueOrder {
-  std::vector<int64_t> pos;
-  std::vector<int64_t> qpos;
-  std::vector<int64_t> y_by_pos;
-};
-
-ValueOrder build_value_order(const std::vector<int64_t>& a) {
-  int64_t n = static_cast<int64_t>(a.size());
-  ValueOrder vo;
-  vo.y_by_pos.resize(n);
-  parallel_for(0, n, [&](int64_t i) { vo.y_by_pos[i] = i; });
-  sort_inplace(vo.y_by_pos, [&](int64_t i, int64_t j) {
-    return a[i] != a[j] ? a[i] < a[j] : i < j;
-  });
-  vo.pos.resize(n);
-  vo.qpos.resize(n);
-  parallel_for(0, n, [&](int64_t p) { vo.pos[vo.y_by_pos[p]] = p; });
-  std::vector<int64_t> run_start(n);
-  parallel_for(0, n, [&](int64_t p) {
-    run_start[p] = (p == 0 || a[vo.y_by_pos[p - 1]] != a[vo.y_by_pos[p]])
-                       ? p
-                       : int64_t{-1};
-  });
-  scan_exclusive_index<int64_t>(
-      n, int64_t{-1}, [&](int64_t p) { return run_start[p]; },
-      [&](int64_t p, int64_t pre) {
-        if (run_start[p] < 0) run_start[p] = pre;
-      },
-      [](int64_t acc, int64_t v) { return v < 0 ? acc : v; });
-  parallel_for(0, n,
-               [&](int64_t p) { vo.qpos[vo.y_by_pos[p]] = run_start[p]; });
-  return vo;
-}
-
-struct TreeAdapter {
-  SeedRangeTreeMax rs;
-  explicit TreeAdapter(const ValueOrder& vo) : rs(vo.y_by_pos) {}
-  void update_frontier(const int64_t* f, int64_t fn, const ValueOrder& vo,
-                       const std::vector<int64_t>& dp) {
-    parallel_for(0, fn,
-                 [&](int64_t t) { rs.update(vo.pos[f[t]], dp[f[t]]); });
-  }
-};
-
-template <typename Adapter>
-parlis::WlisResult run_wlis(const std::vector<int64_t>& a,
-                            const std::vector<int64_t>& w) {
-  parlis::WlisResult res;
-  int64_t n = static_cast<int64_t>(a.size());
-  parlis::LisFrontiers fr = parlis::lis_frontiers(a);
-  ValueOrder vo = build_value_order(a);
-  Adapter ad(vo);
-  res.dp.assign(n, 0);
-  res.k = fr.k;
-  for (int32_t r = 1; r <= fr.k; r++) {
-    const int64_t* f = fr.frontier_flat.data() + fr.frontier_offset[r - 1];
-    int64_t fn = fr.frontier_offset[r] - fr.frontier_offset[r - 1];
-    parallel_for(0, fn, [&](int64_t t) {
-      int64_t j = f[t];
-      int64_t q = ad.rs.dominant_max(vo.qpos[j], j);
-      res.dp[j] = w[j] + std::max<int64_t>(0, q);
-    });
-    ad.update_frontier(f, fn, vo, res.dp);
-  }
-  res.best = parlis::reduce_index<int64_t>(
-      0, n, 0, [&](int64_t i) { return res.dp[i]; },
-      [](int64_t x, int64_t y) { return std::max(x, y); });
-  return res;
-}
-
-parlis::WlisResult wlis_tree(const std::vector<int64_t>& a,
-                             const std::vector<int64_t>& w) {
-  return run_wlis<TreeAdapter>(a, w);
-}
-
-}  // namespace seedref
-
-namespace {
-
-using namespace parlis;
-using namespace parlis::bench;
-
-struct Measurement {
-  double seed_ms = 0;
-  double cur_ms = 0;
-  double speedup_pct() const { return 100.0 * (1.0 - cur_ms / seed_ms); }
-};
-
-// Interleaved medians: (seed, current) pairs per rep so drift hits both.
-Measurement measure(int reps, const std::function<void()>& seed_fn,
-                    const std::function<void()>& cur_fn) {
-  std::vector<double> seed_ts(reps), cur_ts(reps);
-  for (int r = 0; r < reps; r++) {
-    Timer t;
-    seed_fn();
-    seed_ts[r] = t.elapsed();
-    t.reset();
-    cur_fn();
-    cur_ts[r] = t.elapsed();
-  }
-  std::sort(seed_ts.begin(), seed_ts.end());
-  std::sort(cur_ts.begin(), cur_ts.end());
-  // Lower middle for even rep counts: don't report the cold-cache run.
-  return {seed_ts[(reps - 1) / 2] * 1e3, cur_ts[(reps - 1) / 2] * 1e3};
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace parlis;
+  using namespace parlis::bench;
   Flags flags(argc, argv);
   int64_t n = flags.get("n", 1000000);
   // The veb/oracle legs draw prefixes of the main workload, so they are
@@ -458,85 +51,65 @@ int main(int argc, char** argv) {
               static_cast<long long>(n), static_cast<long long>(nveb),
               static_cast<long long>(norcl), reps, num_workers());
 
-  // Acceptance workload: uniform-random values, uniform [1, 1000] weights.
+  // Uniform-random values, uniform [1, 1000] weights.
   std::vector<int64_t> a(n), w(n);
   parallel_for(0, n, [&](int64_t i) {
     a[i] = static_cast<int64_t>(hash64(42, i) >> 1);
     w[i] = 1 + static_cast<int64_t>(uniform(43, i, 1000));
   });
-  std::vector<int64_t> av(a.begin(), a.begin() + std::min(n, nveb));
-  std::vector<int64_t> wv(w.begin(), w.begin() + std::min(n, nveb));
-  std::vector<int64_t> ao(a.begin(), a.begin() + std::min(n, norcl));
+  std::vector<int64_t> av(a.begin(), a.begin() + nveb);
+  std::vector<int64_t> wv(w.begin(), w.begin() + nveb);
+  std::vector<int64_t> ao(a.begin(), a.begin() + norcl);
 
-  std::printf("\n%-14s  %14s  %16s  %9s\n", "op", "seed med(ms)",
-              "current med(ms)", "speedup");
-  auto report = [&](const char* op, int64_t size, const Measurement& mm,
-                    const char* before = "seed", const char* after = "current") {
-    std::printf("%-14s  %14.1f  %16.1f  %8.1f%%\n", op, mm.seed_ms, mm.cur_ms,
-                mm.speedup_pct());
-    for (int variant = 0; variant < 2; variant++) {
-      double ms = variant == 0 ? mm.seed_ms : mm.cur_ms;
-      JsonRecord rec;
-      rec.field("bench", "micro_wlis")
-          .field("op", op)
-          .field("variant", variant == 0 ? before : after)
-          .field("n", size)
-          .field("threads", num_workers())
-          .field("median_ms", ms)
-          .field("per_op_ns", size > 0 ? ms * 1e6 / size : 0.0);
-      if (variant == 1) rec.field("speedup_pct", mm.speedup_pct());
-      json.add(rec);
-    }
+  std::printf("\n%-14s  %14s  %16s  %9s  %s\n", "op", "base med(ms)",
+              "current med(ms)", "speedup", "current ns/op");
+  auto per_op_ns = [](double ms, int64_t size) {
+    return size > 0 ? ms * 1e6 / static_cast<double>(size) : 0.0;
   };
-
-  // ----------------------------------------------------------- wlis (tree)
-  WlisResult seed_tree, cur_tree;
-  Measurement m_tree = measure(
-      reps, [&] { seed_tree = seedref::wlis_tree(a, w); },
-      [&] { cur_tree = wlis(a, w, WlisStructure::kRangeTree); });
-  report("wlis", n, m_tree);
-
-  // ------------------------------------------------------------- wlis_veb
-  // Layout A/B of the current Range-vEB pipeline (see the header comment):
-  // node-structured bottom vs bit-packed word blocks, interleaved like the
-  // other rows. The default-layout flip only affects trees constructed
-  // inside the measured call; it is restored before the word run.
-  WlisResult node_veb, word_veb;
-  Measurement m_veb = measure(
-      reps,
-      [&] {
-        set_default_veb_layout(VebLayout::kLegacyNode);
-        node_veb = wlis(av, wv, WlisStructure::kRangeVeb);
-        set_default_veb_layout(VebLayout::kWordBlock);
-      },
-      [&] { word_veb = wlis(av, wv, WlisStructure::kRangeVeb); });
-  report("wlis_veb", nveb, m_veb, "node", "word");
-
-  // Gap gate, on per-op medians (the host caveat: 1 hardware thread, so
-  // wall-clock scaling is meaningless but per-op medians are comparable):
-  // how much of the node layout's gap to the range-tree row does the word
-  // layout close? >= 100% means it beat the tree outright.
-  double tree_per_op = n > 0 ? m_tree.cur_ms * 1e6 / n : 0.0;
-  double node_per_op = nveb > 0 ? m_veb.seed_ms * 1e6 / nveb : 0.0;
-  double word_per_op = nveb > 0 ? m_veb.cur_ms * 1e6 / nveb : 0.0;
-  double veb_gap = node_per_op - tree_per_op;
-  double veb_gap_closed_pct =
-      veb_gap > 0 ? (node_per_op - word_per_op) / veb_gap * 100.0 : 100.0;
-  std::printf("%-14s  per-op ns: tree %.1f, veb node %.1f, veb word %.1f "
-              "(gap closed %.1f%%)\n",
-              "", tree_per_op, node_per_op, word_per_op, veb_gap_closed_pct);
-  if (json.enabled()) {
+  auto record = [&](const char* op, const char* variant, int64_t size,
+                    double ms) {
     JsonRecord rec;
     rec.field("bench", "micro_wlis")
-        .field("op", "wlis_veb_gap")
-        .field("n", nveb)
+        .field("op", op)
+        .field("variant", variant)
+        .field("n", size)
         .field("threads", num_workers())
-        .field("tree_per_op_ns", tree_per_op)
-        .field("node_per_op_ns", node_per_op)
-        .field("word_per_op_ns", word_per_op)
-        .field("gap_closed_pct", veb_gap_closed_pct);
-    json.add(rec);
-  }
+        .field("median_ms", ms)
+        .field("per_op_ns", per_op_ns(ms, size));
+    return rec;
+  };
+  // A paired row: baseline record, then the current record with its gain.
+  auto report_pair = [&](const char* op, const char* base, const char* test,
+                         int64_t size, const PairedMedian& mm) {
+    std::printf("%-14s  %14.1f  %16.1f  %8.1f%%  %13.1f  [%s vs %s]\n", op,
+                mm.base_ms(), mm.test_ms(), mm.speedup_pct(),
+                per_op_ns(mm.test_ms(), size), test, base);
+    json.add(record(op, base, size, mm.base_ms()));
+    json.add(record(op, test, size, mm.test_ms())
+                 .field("speedup_pct", mm.speedup_pct()));
+  };
+  // A current-only row (no paper baseline to pair with).
+  auto report_single = [&](const char* op, int64_t size, double ms) {
+    std::printf("%-14s  %14s  %16.1f  %9s  %13.1f\n", op, "-", ms, "-",
+                per_op_ns(ms, size));
+    json.add(record(op, "current", size, ms));
+  };
+
+  // ------------------------------------------------ wlis (tree) vs Seq-AVL
+  std::vector<int64_t> avl_dp;
+  WlisResult cur_tree;
+  PairedMedian m_tree = paired_median_of(
+      reps, [&] { avl_dp = seq_avl_wlis(a, w); },
+      [&] { cur_tree = wlis(a, w, WlisStructure::kRangeTree); });
+  report_pair("wlis", "seq_avl", "current", n, m_tree);
+
+  // ------------------------------------------------------------- wlis_veb
+  WlisResult cur_veb;
+  double veb_ms =
+      time_median_of(reps, [&] {
+        cur_veb = wlis(av, wv, WlisStructure::kRangeVeb);
+      }) * 1e3;
+  report_single("wlis_veb", nveb, veb_ms);
 
   // ------------------------------------------------------------ wlis_simd
   // Same-binary scalar-vs-SIMD pairing of the range-tree pipeline (the
@@ -547,7 +120,7 @@ int main(int argc, char** argv) {
   // run the scalar twins and the row documents parity.
   WlisResult scal_wlis, simd_wlis;
   const bool prev_simd = simd::set_enabled(true);
-  Measurement m_simd = measure(
+  PairedMedian m_simd = paired_median_of(
       reps,
       [&] {
         simd::set_enabled(false);
@@ -558,65 +131,39 @@ int main(int argc, char** argv) {
         simd_wlis = wlis(a, w, WlisStructure::kRangeTree);
       });
   simd::set_enabled(prev_simd);
-  std::printf("%-14s  %14.1f  %16.1f  %8.1f%%  [%s]\n", "wlis_simd",
-              m_simd.seed_ms, m_simd.cur_ms, m_simd.speedup_pct(),
-              simd::backend_name());
-  for (int variant = 0; variant < 2; variant++) {
-    JsonRecord rec;
-    rec.field("bench", "micro_wlis")
-        .field("op", "wlis_simd")
-        .field("variant", variant == 0 ? "scalar" : "simd")
-        .field("n", n)
-        .field("threads", num_workers())
-        .field("median_ms", variant == 0 ? m_simd.seed_ms : m_simd.cur_ms);
-    if (variant == 1) {
-      rec.field("simd_backend", simd::backend_name())
-          .field("speedup_pct", m_simd.speedup_pct());
-    }
-    json.add(rec);
-  }
+  report_pair("wlis_simd", "scalar", "simd", n, m_simd);
 
   // --------------------------------------------------------- oracle_build
   volatile int64_t sink = 0;
-  Measurement m_orcl = measure(
-      reps,
-      [&] {
-        seedref::SeedDominanceOracle o(ao);
-        sink = sink + o.count_dominators(static_cast<int64_t>(ao.size()) - 1);
-      },
-      [&] {
-        DominanceOracle o(ao);
-        sink = sink + o.count_dominators(static_cast<int64_t>(ao.size()) - 1);
-      });
-  report("oracle_build", norcl, m_orcl);
+  const int64_t no = static_cast<int64_t>(ao.size());
+  double orcl_ms = time_median_of(reps, [&] {
+                     DominanceOracle o(ao);
+                     sink = sink + o.count_dominators(no - 1);
+                   }) * 1e3;
+  report_single("oracle_build", norcl, orcl_ms);
 
-  // Cross-checks: both pipelines and the oracle agree seed-vs-current,
-  // including after deletions.
-  bool ok = seed_tree.dp == cur_tree.dp && seed_tree.best == cur_tree.best &&
-            node_veb.dp == word_veb.dp && node_veb.best == word_veb.best &&
-            node_veb.k == word_veb.k && seed_tree.k == cur_tree.k &&
-            scal_wlis.dp == simd_wlis.dp && scal_wlis.best == simd_wlis.best;
+  // Cross-checks. dp[i] depends only on the prefix up to i, so the
+  // Range-vEB run over the first nveb objects must reproduce the first
+  // nveb Seq-AVL values.
+  int64_t best = 0;
+  for (int64_t v : avl_dp) best = std::max(best, v);
+  bool ok = cur_tree.dp == avl_dp && cur_tree.best == best &&
+            std::equal(cur_veb.dp.begin(), cur_veb.dp.end(), avl_dp.begin(),
+                       avl_dp.begin() + nveb) &&
+            scal_wlis.dp == avl_dp && simd_wlis.dp == avl_dp;
   {
-    seedref::SeedDominanceOracle so(ao);
-    DominanceOracle co(ao);
-    int64_t no = static_cast<int64_t>(ao.size());
+    // Oracle vs brute-force count of alive j < i with a[j] < a[i].
+    DominanceOracle o(ao);
+    std::vector<char> dead(no, 0);
     for (int64_t i = 1; i < no; i = i * 2 + 1) {
-      so.erase(i / 2);
-      co.erase(i / 2);
-      ok = ok && so.count_dominators(i) == co.count_dominators(i);
+      o.erase(i / 2);
+      dead[i / 2] = 1;
+      int64_t want = 0;
+      for (int64_t j = 0; j < i; j++) want += !dead[j] && ao[j] < ao[i];
+      ok = ok && o.count_dominators(i) == want;
     }
   }
-  std::printf("\ncross-check (seed and current agree): %s\n",
+  std::printf("\ncross-check (Seq-AVL dp, brute-force dominator counts): %s\n",
               ok ? "OK" : "MISMATCH");
-  bool pass_tree = m_tree.speedup_pct() >= 25.0;
-  bool pass_gap = veb_gap_closed_pct >= 50.0;
-  std::printf("acceptance (>=25%% on wlis): %s%s\n",
-              pass_tree ? "PASS" : "FAIL",
-              flags.has("strict") ? "" : " (advisory; --strict gates exit)");
-  std::printf("acceptance (wlis_veb word closes >=50%% of node gap to tree): "
-              "%s%s\n",
-              pass_gap ? "PASS" : "FAIL",
-              flags.has("strict") ? "" : " (advisory; --strict gates exit)");
-  if (!ok) return 1;
-  return flags.has("strict") && !(pass_tree && pass_gap) ? 2 : 0;
+  return ok ? 0 : 1;
 }

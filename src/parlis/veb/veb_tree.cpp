@@ -1,15 +1,15 @@
 #include "parlis/veb/veb_tree.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "parlis/parallel/parallel.hpp"
 #include "parlis/parallel/primitives.hpp"
+#include "parlis/util/error.hpp"
 #include "parlis/veb/veb_words.hpp"
 
 namespace parlis {
@@ -20,24 +20,7 @@ constexpr uint64_t kNone = VebTree::kNone;
 static_assert(veb_words::kWordNone == VebTree::kNone,
               "word kernels and VebTree must share the none sentinel");
 
-std::atomic<uint8_t> g_default_layout{
-    static_cast<uint8_t>(VebLayout::kWordBlock)};
-
-int base_bits_for(VebLayout layout) {
-  return layout == VebLayout::kLegacyNode ? VebTree::Node::kTinyBits
-                                          : VebTree::Node::kWordBits;
-}
 }  // namespace
-
-void set_default_veb_layout(VebLayout layout) {
-  g_default_layout.store(static_cast<uint8_t>(layout),
-                         std::memory_order_relaxed);
-}
-
-VebLayout default_veb_layout() {
-  return static_cast<VebLayout>(
-      g_default_layout.load(std::memory_order_relaxed));
-}
 
 // ---------------------------------------------------------------- layout ---
 
@@ -85,9 +68,9 @@ uint64_t node_pred_lt(const Node* v, uint64_t x) {
       x = l;
       continue;
     }
-    // Summary fallback. One-node universes (<= 2^24 under the word
-    // layout, the lowest legacy level) have a base summary: dispatch its
-    // kernel directly instead of paying a recursive call to discover it.
+    // Summary fallback. One-node universes (<= 2^24) have a base summary:
+    // dispatch its kernel directly instead of paying a recursive call to
+    // discover it.
     const Node* s = v->summary;
     uint64_t hp = !s || s->is_empty()
                       ? kNone
@@ -564,28 +547,24 @@ int64_t check_node(const Node* v, uint64_t universe);
 
 // ------------------------------------------------------------- public API
 
-VebTree::VebTree(uint64_t universe)
-    : VebTree(universe, default_veb_layout()) {}
+VebTree::VebTree(uint64_t universe) : VebTree(universe, nullptr) {}
 
 VebTree::VebTree(uint64_t universe, Arena* pool)
-    : VebTree(universe, pool, default_veb_layout()) {}
-
-VebTree::VebTree(uint64_t universe, VebLayout layout)
-    : own_arena_(std::make_unique<Arena>()),
-      arena_(own_arena_.get()),
+    : own_arena_(pool ? nullptr : std::make_unique<Arena>()),
+      arena_(pool ? pool : own_arena_.get()),
       universe_(universe) {
-  assert(universe >= 1);
+  if (universe == 0) {
+    throw Error(ErrorCode::kInvalidArgument, "VebTree: universe must be >= 1");
+  }
   int bits = 1;
   while ((uint64_t{1} << bits) < universe && bits < 63) bits++;
-  root_ = arena_->create<Node>(bits, base_bits_for(layout));
+  root_ = arena_->create<Node>(bits);
 }
 
-VebTree::VebTree(uint64_t universe, Arena* pool, VebLayout layout)
-    : arena_(pool), universe_(universe) {
-  assert(universe >= 1 && pool != nullptr);
-  int bits = 1;
-  while ((uint64_t{1} << bits) < universe && bits < 63) bits++;
-  root_ = arena_->create<Node>(bits, base_bits_for(layout));
+void VebTree::throw_out_of_universe(const char* op, uint64_t x) const {
+  throw Error(ErrorCode::kInvalidArgument,
+              std::string("VebTree::") + op + ": key " + std::to_string(x) +
+                  " outside universe " + std::to_string(universe_));
 }
 
 VebTree::~VebTree() = default;
@@ -698,6 +677,10 @@ void VebTree::replace_slow(uint64_t out_key, uint64_t in_key) {
 }
 
 int64_t VebTree::batch_insert(const std::vector<uint64_t>& batch) {
+  // Sorted by precondition, so the last key bounds the whole batch.
+  if (!batch.empty() && batch.back() >= universe_) {
+    throw_out_of_universe("batch_insert", batch.back());
+  }
   // Empty tree: nothing to filter against, take the batch as-is.
   std::vector<uint64_t> b =
       empty() ? batch
@@ -756,8 +739,8 @@ std::vector<uint64_t> VebTree::range(uint64_t lo, uint64_t hi) const {
   if (!a || *a > hi) return {};
   std::optional<uint64_t> b = pred_leq(std::min(hi, universe_ - 1));
   if (root_->base()) {
-    // Word-packed root (universe <= 4096 under the word layout): scan the
-    // packed bits directly — no split tree, no per-call arena.
+    // Word-packed root (universe <= 4096): scan the packed bits directly —
+    // no split tree, no per-call arena.
     std::vector<uint64_t> out;
     if (root_->tiny()) {
       uint64_t w = root_->mask & (~uint64_t{0} << *a);

@@ -10,10 +10,9 @@
 // per-leaf allocations.
 //
 // Everything here is a free function over plain integers (or a pair of
-// summary word + word array), deliberately stateless: VebTree and
-// CompactVebTree call the block kernels on arena- or heap-owned word
-// arrays, WordLeaf/WordBlock4096 wrap them as self-contained values for
-// direct use and testing.
+// summary word + word array), deliberately stateless: VebTree calls the
+// block kernels on arena-owned word arrays, WordLeaf/WordBlock4096 wrap
+// them as self-contained values for direct use and testing.
 //
 // Conventions shared with VebTree:
 //   * keys are unsigned, universes are [0, 2^k)

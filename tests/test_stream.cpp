@@ -278,96 +278,92 @@ TEST(StreamDifferential, DeltaResolveEdgeShapes) {
 TEST(StreamVebChurn, EraseInsertChurnVsSetOracle) {
   // Erase-heavy word-block churn at fixed occupancy — the access shape a
   // session's tops structure produces, which batch-oriented tests miss.
-  for (VebLayout layout : {VebLayout::kWordBlock, VebLayout::kLegacyNode}) {
-    constexpr uint64_t kU = 1 << 16;
-    constexpr int64_t kOccupancy = 2000, kOps = 20000;
-    VebTree t(kU, layout);
-    std::set<uint64_t> oracle;
-    std::vector<uint64_t> members;  // for O(1) random member picks
-    std::mt19937_64 rng(5);
-    while (oracle.size() < kOccupancy) {
-      uint64_t x = rng() % kU;
-      if (oracle.insert(x).second) {
-        t.insert(x);
-        members.push_back(x);
-      }
+  constexpr uint64_t kU = 1 << 16;
+  constexpr int64_t kOccupancy = 2000, kOps = 20000;
+  VebTree t(kU);
+  std::set<uint64_t> oracle;
+  std::vector<uint64_t> members;  // for O(1) random member picks
+  std::mt19937_64 rng(5);
+  while (oracle.size() < kOccupancy) {
+    uint64_t x = rng() % kU;
+    if (oracle.insert(x).second) {
+      t.insert(x);
+      members.push_back(x);
     }
-    for (int64_t op = 0; op < kOps; op++) {
-      // Erase a random member, insert a random non-member: size constant.
-      size_t idx = rng() % members.size();
-      uint64_t out = members[idx];
-      uint64_t in = rng() % kU;
-      while (oracle.count(in)) in = rng() % kU;
-      if (op % 2 == 0) {
-        t.erase(out);
-        t.insert(in);
-      } else {
-        t.replace_top(out, in);  // fused form must behave identically
-      }
-      oracle.erase(out);
-      oracle.insert(in);
-      members[idx] = in;
-      if (op % 256 == 0) {
-        ASSERT_EQ(t.size(), static_cast<int64_t>(oracle.size()));
-        ASSERT_EQ(*t.min(), *oracle.begin());
-        ASSERT_EQ(*t.max(), *oracle.rbegin());
-        for (int probe = 0; probe < 16; probe++) {
-          uint64_t q = rng() % kU;
-          auto su = oracle.upper_bound(q);
-          auto got = t.succ_gt(q);
-          ASSERT_EQ(got.has_value(), su != oracle.end());
-          if (got) {
-            ASSERT_EQ(*got, *su);
-          }
-          auto pl = oracle.lower_bound(q);
-          auto gotp = t.pred_lt(q);
-          ASSERT_EQ(gotp.has_value(), pl != oracle.begin());
-          if (gotp) {
-            ASSERT_EQ(*gotp, *std::prev(pl));
-          }
-        }
-        t.check_invariants();
-      }
-    }
-    ASSERT_EQ(t.check_invariants(), kOccupancy);
   }
+  for (int64_t op = 0; op < kOps; op++) {
+    // Erase a random member, insert a random non-member: size constant.
+    size_t idx = rng() % members.size();
+    uint64_t out = members[idx];
+    uint64_t in = rng() % kU;
+    while (oracle.count(in)) in = rng() % kU;
+    if (op % 2 == 0) {
+      t.erase(out);
+      t.insert(in);
+    } else {
+      t.replace_top(out, in);  // fused form must behave identically
+    }
+    oracle.erase(out);
+    oracle.insert(in);
+    members[idx] = in;
+    if (op % 256 == 0) {
+      ASSERT_EQ(t.size(), static_cast<int64_t>(oracle.size()));
+      ASSERT_EQ(*t.min(), *oracle.begin());
+      ASSERT_EQ(*t.max(), *oracle.rbegin());
+      for (int probe = 0; probe < 16; probe++) {
+        uint64_t q = rng() % kU;
+        auto su = oracle.upper_bound(q);
+        auto got = t.succ_gt(q);
+        ASSERT_EQ(got.has_value(), su != oracle.end());
+        if (got) {
+          ASSERT_EQ(*got, *su);
+        }
+        auto pl = oracle.lower_bound(q);
+        auto gotp = t.pred_lt(q);
+        ASSERT_EQ(gotp.has_value(), pl != oracle.begin());
+        if (gotp) {
+          ASSERT_EQ(*gotp, *std::prev(pl));
+        }
+      }
+      t.check_invariants();
+    }
+  }
+  ASSERT_EQ(t.check_invariants(), kOccupancy);
 }
 
 TEST(StreamVebChurn, ReplaceTopPointCases) {
-  for (VebLayout layout : {VebLayout::kWordBlock, VebLayout::kLegacyNode}) {
-    VebTree t(1 << 20, layout);
-    t.insert(100);
-    t.insert(5000);
-    t.insert(900000);
-    // Same-cluster fused path, boundary keys, absent out, present in.
-    t.replace_top(5000, 5001);  // interior shared-prefix
-    ASSERT_FALSE(t.contains(5000));
-    ASSERT_TRUE(t.contains(5001));
-    t.replace_top(100, 200);  // out == tree min
-    ASSERT_EQ(*t.min(), 200);
-    t.replace_top(900000, 1);  // out == tree max, in becomes min
-    ASSERT_EQ(*t.min(), 1);
-    ASSERT_EQ(*t.max(), 5001);
-    t.replace_top(12345, 777);  // out absent: degrades to insert
-    ASSERT_TRUE(t.contains(777));
-    ASSERT_EQ(t.size(), 4);
-    t.replace_top(777, 200);  // in present: degrades to erase
-    ASSERT_EQ(t.size(), 3);
-    t.replace_top(200, 200);  // no-op
-    ASSERT_EQ(t.size(), 3);
-    t.check_invariants();
-    // Single-key and two-key trees (min==max edge).
-    VebTree u(1 << 14, layout);
-    u.insert(42);
-    u.replace_top(42, 43);
-    ASSERT_EQ(*u.min(), 43);
-    ASSERT_EQ(u.size(), 1);
-    u.insert(44);
-    u.replace_top(43, 45);
-    ASSERT_EQ(*u.min(), 44);
-    ASSERT_EQ(*u.max(), 45);
-    u.check_invariants();
-  }
+  VebTree t(1 << 20);
+  t.insert(100);
+  t.insert(5000);
+  t.insert(900000);
+  // Same-cluster fused path, boundary keys, absent out, present in.
+  t.replace_top(5000, 5001);  // interior shared-prefix
+  ASSERT_FALSE(t.contains(5000));
+  ASSERT_TRUE(t.contains(5001));
+  t.replace_top(100, 200);  // out == tree min
+  ASSERT_EQ(*t.min(), 200);
+  t.replace_top(900000, 1);  // out == tree max, in becomes min
+  ASSERT_EQ(*t.min(), 1);
+  ASSERT_EQ(*t.max(), 5001);
+  t.replace_top(12345, 777);  // out absent: degrades to insert
+  ASSERT_TRUE(t.contains(777));
+  ASSERT_EQ(t.size(), 4);
+  t.replace_top(777, 200);  // in present: degrades to erase
+  ASSERT_EQ(t.size(), 3);
+  t.replace_top(200, 200);  // no-op
+  ASSERT_EQ(t.size(), 3);
+  t.check_invariants();
+  // Single-key and two-key trees (min==max edge).
+  VebTree u(1 << 14);
+  u.insert(42);
+  u.replace_top(42, 43);
+  ASSERT_EQ(*u.min(), 43);
+  ASSERT_EQ(u.size(), 1);
+  u.insert(44);
+  u.replace_top(43, 45);
+  ASSERT_EQ(*u.min(), 44);
+  ASSERT_EQ(*u.max(), 45);
+  u.check_invariants();
 }
 
 // ------------------------------------------- cache-invariant regression ---

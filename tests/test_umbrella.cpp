@@ -138,11 +138,6 @@ TEST(Umbrella, EveryPublicEntryPointIsReachable) {
   mv.insert_staircase(&pt, 1);
   EXPECT_EQ(mv.max_below(5).score, 11);
   mv.check_staircase();
-  CompactVebTree cset(64);
-  cset.insert(1);
-  cset.insert(5);
-  EXPECT_EQ(cset.size(), 2);
-  EXPECT_EQ(*cset.pred_lt(5), 1u);
 
   // --- Solver / session API ---------------------------------------------
   Options opts;

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "parlis/parallel/random.hpp"
+#include "parlis/util/arena.hpp"
+#include "parlis/util/error.hpp"
 #include "parlis/veb/mono_veb.hpp"
 #include "parlis/veb/veb_tree.hpp"
 
@@ -98,6 +100,99 @@ TEST(Veb, TinyUniverses) {
     for (uint64_t x = 0; x + 1 < u; x++) EXPECT_EQ(*t.succ_gt(x), x + 1);
     for (uint64_t x = 0; x < u; x++) t.erase(x);
     EXPECT_TRUE(t.empty());
+  }
+}
+
+// ------------------------------------------------------ boundary contract ---
+// Updates that would store a key outside [0, U), and a universe of 0, throw
+// Error{kInvalidArgument} before touching the tree; queries and removals of
+// such keys stay total. Each case runs on a packed-root tree (U <= 4096)
+// and on an internal-root one, since the two take different code paths.
+
+template <typename Fn>
+void expect_invalid_argument(Fn&& fn) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected Error{kInvalidArgument}, call succeeded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
+  }
+}
+
+TEST(VebContract, ZeroUniverseIsRejected) {
+  expect_invalid_argument([] { VebTree t(0); });
+  Arena pool;
+  expect_invalid_argument([&] { VebTree t(0, &pool); });
+  EXPECT_EQ(pool.bytes_allocated(), 0u);
+  VebTree one(1);  // the smallest valid universe
+  one.insert(0);
+  EXPECT_EQ(one.size(), 1);
+  expect_invalid_argument([&] { one.insert(1); });
+}
+
+TEST(VebContract, InsertOutsideUniverseThrows) {
+  for (uint64_t u : {uint64_t{1000}, uint64_t{1024}, uint64_t{1} << 20}) {
+    VebTree t(u);
+    expect_invalid_argument([&] { t.insert(5000000); });
+    expect_invalid_argument([&] { t.insert(u); });  // first key past the end
+    EXPECT_EQ(t.size(), 0);
+    t.insert(u - 1);  // last key inside
+    expect_invalid_argument([&] { t.insert(~uint64_t{0}); });
+    EXPECT_EQ(t.size(), 1);
+    EXPECT_EQ(*t.max(), u - 1);
+    t.check_invariants();
+  }
+}
+
+TEST(VebContract, ReplaceTopOutsideUniverseKeepsOutKey) {
+  for (uint64_t u : {uint64_t{1024}, uint64_t{1} << 20}) {
+    VebTree t(u);
+    t.insert(7);
+    expect_invalid_argument([&] { t.replace_top(7, u * 4); });
+    EXPECT_TRUE(t.contains(7));  // not erased: the call had no effect
+    EXPECT_EQ(t.size(), 1);
+    expect_invalid_argument([&] { t.replace_top(u, u); });
+    // An out_key outside the universe is simply absent: a plain insert.
+    t.replace_top(u + 5, 9);
+    EXPECT_TRUE(t.contains(9));
+    EXPECT_EQ(t.size(), 2);
+    t.check_invariants();
+  }
+}
+
+TEST(VebContract, BatchInsertOutsideUniverseThrowsBeforeInserting) {
+  for (uint64_t u : {uint64_t{1024}, uint64_t{1} << 20}) {
+    VebTree t(u);
+    expect_invalid_argument([&] { t.batch_insert({3, u + 3976}); });
+    EXPECT_EQ(t.size(), 0);
+    EXPECT_FALSE(t.contains(3));
+    t.batch_insert({1, 2});
+    expect_invalid_argument([&] { t.batch_insert({3, u}); });
+    EXPECT_EQ(t.size(), 2);
+    EXPECT_FALSE(t.contains(3));
+    EXPECT_EQ(t.batch_insert({3, u - 1}), 2);
+    EXPECT_EQ(t.check_invariants(), 4);
+  }
+}
+
+TEST(VebContract, QueriesAndRemovalsStayTotal) {
+  for (uint64_t u : {uint64_t{1024}, uint64_t{1} << 20}) {
+    VebTree t(u);
+    t.batch_insert({0, 10, u - 1});
+    EXPECT_FALSE(t.contains(u));
+    EXPECT_FALSE(t.contains(~uint64_t{0}));
+    EXPECT_FALSE(t.succ_gt(u));
+    EXPECT_FALSE(t.succ_gt(u - 1));
+    EXPECT_FALSE(t.succ_geq(u));
+    EXPECT_EQ(*t.pred_lt(u), u - 1);  // pred of anything above clamps
+    EXPECT_EQ(*t.pred_lt(~uint64_t{0}), u - 1);
+    EXPECT_EQ(*t.pred_leq(u * 2), u - 1);
+    t.erase(u);  // absent: no-op
+    t.erase(~uint64_t{0});
+    EXPECT_EQ(t.batch_delete({u, u + 1}), 0);
+    EXPECT_EQ(t.size(), 3);
+    EXPECT_EQ(t.range(5, ~uint64_t{0}), (std::vector<uint64_t>{10, u - 1}));
+    t.check_invariants();
   }
 }
 
