@@ -13,21 +13,6 @@
 
 namespace parlis {
 
-// Everything one thread needs to solve any query shape end to end. The
-// LIS-side rank space (lis_rs) is separate from wlis.rank_space on
-// purpose: the latter's contents back the WLIS value-sequence cache, so an
-// unweighted generic-key solve between two weighted solves must not
-// clobber it.
-struct Solver::ThreadCtx {
-  TournamentStorage<int64_t> tour;
-  WlisWorkspace wlis;
-  RankSpace lis_rs;
-  RankSpaceScratch lis_scratch;
-  LisResult lis_res;
-  WlisResult wlis_res;
-  std::vector<int64_t> tails;  // patience-fallback scratch (budget path)
-};
-
 // A claimable context: `busy` is taken for the duration of one packed
 // query (acquire on claim, release on return, so workspace state synchronizes
 // between successive holders).
@@ -47,98 +32,95 @@ Solver::~Solver() = default;
 Solver::Solver(Solver&&) noexcept = default;
 Solver& Solver::operator=(Solver&&) noexcept = default;
 
+// Measured footprint of one ThreadCtx: every vector's real capacity plus
+// the workspace accounting (which reaches the arenas' reserved chunks).
+size_t Solver::ThreadCtx::resident_bytes() const {
+  return sizeof(ThreadCtx) + tour.resident_bytes() + wlis.resident_bytes() +
+         lis_rs.resident_bytes() + lis_scratch.resident_bytes() +
+         lis_res.resident_bytes() + wlis_res.resident_bytes() +
+         vec_bytes(tails);
+}
+
 size_t Solver::resident_bytes() const {
-  // Measured footprint of one ThreadCtx: every vector's real capacity plus
-  // the workspace accounting (which reaches the arenas' reserved chunks).
-  auto ctx_bytes = [](const ThreadCtx& c) {
-    return sizeof(ThreadCtx) + c.tour.resident_bytes() +
-           c.wlis.resident_bytes() + c.lis_rs.resident_bytes() +
-           c.lis_scratch.resident_bytes() + c.lis_res.resident_bytes() +
-           c.wlis_res.resident_bytes() + vec_bytes(c.tails);
-  };
   // Heap bytes only — the object header itself is whoever embeds us (the
   // table counts it once via sizeof(TenantEntry)).
-  size_t b = vec_bytes(small_idx_) + vec_bytes(fallback_tails_);
-  if (main_ctx_) b += ctx_bytes(*main_ctx_);
+  size_t b = vec_bytes(small_idx_);
+  if (main_ctx_) b += main_ctx_->resident_bytes();
   for (size_t i = 0; i < ctx_n_; i++) {
     b += sizeof(CtxSlot);
-    if (ctx_[i].ctx) b += ctx_bytes(*ctx_[i].ctx);
+    if (ctx_[i].ctx) b += ctx_[i].ctx->resident_bytes();
   }
   return b;
 }
 
-TournamentStorage<int64_t>& Solver::main_tournament() {
-  return main_ctx_->tour;
-}
-WlisWorkspace& Solver::main_wlis() { return main_ctx_->wlis; }
-RankSpace& Solver::lis_rank_space() { return main_ctx_->lis_rs; }
-RankSpaceScratch& Solver::lis_rank_scratch() { return main_ctx_->lis_scratch; }
-LisResult& Solver::scratch_lis_result() { return main_ctx_->lis_res; }
-
-// ---- Memory-budget admission ------------------------------------------
-//
-// Documented scratch-size models, per element, deliberately generous (the
-// fault tests pin each against the structures' real accounting — e.g. the
-// range tree's arena reserved_bytes). They exist so a budget decision can
-// be made *before* the structures allocate; exactness is not the goal,
-// never-under-estimating is.
-
-size_t Solver::rank_space_bytes(int64_t n) {
-  // order/pos/rank/qpos (4 x int64) + sort scratch, per-block carries, and
-  // the vector run scan's sorted-key image (8B) + run-start masks (~0.13B).
-  return static_cast<size_t>(n) * 58 + (size_t{1} << 16);
+template <typename T>
+static void copy_out(const std::vector<T>& src, std::span<T> dst) {
+  if (dst.empty()) return;
+  parallel_for(0, static_cast<int64_t>(src.size()),
+               [&](int64_t i) { dst[i] = src[i]; });
 }
 
-size_t Solver::lis_scratch_bytes(int64_t n) {
-  // Tournament blocks + top + count arrays (~20B/elem) and the rank output.
-  return static_cast<size_t>(n) * 40 + (size_t{1} << 16);
-}
-
-size_t Solver::lis_fallback_bytes(int64_t n) {
-  // Patience tails (<= k int64) + the rank output.
-  return static_cast<size_t>(n) * 12 + (size_t{1} << 16);
-}
-
-size_t Solver::wlis_scratch_bytes(int64_t n) {
-  // LIS phase + frontiers + cached values + update batch + query buffers +
-  // dp output, plus the range tree's own documented estimate.
-  return lis_scratch_bytes(n) + static_cast<size_t>(n) * 56 +
-         RangeTreeMax::estimate_build_bytes(n);
-}
-
-size_t Solver::wlis_fallback_bytes(int64_t n) {
-  // Seq-AVL node pool (~48B/node) + dp output + patience tails.
-  return static_cast<size_t>(n) * 64 + (size_t{1} << 16);
-}
-
-size_t Solver::swgs_scratch_bytes(int64_t n) {
-  // Wake-up rounds: subscriber lists (vector header + entry per object),
-  // awake/certificate/frontier buffers, the dominance oracle, and — on the
-  // weighted path, the worst case this models — the dominant-max tree.
-  return static_cast<size_t>(n) * 96 + RangeTreeMax::estimate_build_bytes(n) +
-         (size_t{1} << 16);
-}
-
-Solver::BudgetPlan Solver::budget_plan(size_t full_bytes, size_t fallback_bytes,
-                                       const char* what) const {
+// Memory-budget admission. The byte figures are documented scratch-size
+// models, per element, deliberately generous (the fault tests pin each
+// against the structures' real accounting — e.g. the range tree's arena
+// reserved_bytes). They exist so the decision can be made *before* the
+// structures allocate; exactness is not the goal, never-under-estimating is.
+bool Solver::admit_fallback(Shape shape, size_t n, bool compresses) const {
   const uint64_t budget = opts_.memory_budget_bytes;
-  if (budget == 0 || full_bytes <= budget) return BudgetPlan::kFull;
-  if (fallback_bytes <= budget) return BudgetPlan::kFallback;
+  if (budget == 0) return false;
+  constexpr size_t kSlack = size_t{1} << 16;
+  // Rank space: order/pos/rank/qpos (4 x int64) + sort scratch, per-block
+  // carries, and the vector run scan's sorted-key image (8B) + run-start
+  // masks (~0.13B).
+  const size_t rank_space = n * 58 + kSlack;
+  const size_t rs = compresses ? rank_space : 0;
+  // LIS: tournament blocks + top + count arrays (~20B/elem) + rank output.
+  const size_t lis = n * 40 + kSlack;
+  const size_t tree =
+      RangeTreeMax::estimate_build_bytes(static_cast<int64_t>(n));
+  size_t full = 0, fallback = 0;  // fallback 0: the shape has none
+  switch (shape) {
+    case Shape::kLis:
+      // Fallback: patience tails (<= k int64) + the rank output.
+      full = rs + lis;
+      fallback = rs + n * 12 + kSlack;
+      break;
+    case Shape::kWlis:
+      // Full: the LIS phase + frontiers + cached values + update batch +
+      // query buffers + dp output + the range tree's own estimate, always
+      // over a rank space (wlis_into compresses raw keys itself).
+      // Fallback: Seq-AVL node pool (~48B/node) + dp output + patience
+      // tails.
+      full = rank_space + lis + n * 56 + tree;
+      fallback = rs + n * 64 + kSlack;
+      break;
+    case Shape::kSwgs:
+    case Shape::kSwgsWlis:
+      // Wake-up rounds: subscriber lists (vector header + entry per
+      // object), awake/certificate/frontier buffers, the dominance oracle,
+      // and (the weighted worst case this models) the dominant-max tree.
+      // swgs_wlis_into compresses raw keys itself.
+      full = (shape == Shape::kSwgs ? rs : rank_space) + n * 96 + tree +
+             kSlack;
+      break;
+  }
+  if (full <= budget) return false;
+  if (fallback != 0 && fallback <= budget) return true;
+  static constexpr const char* kName[] = {"solve_lis", "solve_wlis",
+                                          "solve_swgs", "solve_swgs_wlis"};
   throw Error(ErrorCode::kBudgetExceeded,
-              std::string(what) + ": estimated " +
-                  std::to_string(fallback_bytes) +
-                  " bytes for the sequential fallback exceed "
-                  "Options::memory_budget_bytes = " +
+              std::string(kName[static_cast<int>(shape)]) + ": estimated " +
+                  std::to_string(fallback != 0 ? fallback : full) +
+                  (fallback != 0 ? " bytes for the sequential fallback"
+                                 : " bytes (no sequential fallback)") +
+                  " exceed Options::memory_budget_bytes = " +
                   std::to_string(budget));
 }
 
-void Solver::budget_require(size_t bytes, const char* what) const {
-  const uint64_t budget = opts_.memory_budget_bytes;
-  if (budget != 0 && bytes > budget) {
-    throw Error(ErrorCode::kBudgetExceeded,
-                std::string(what) + ": estimated " + std::to_string(bytes) +
-                    " bytes exceed Options::memory_budget_bytes = " +
-                    std::to_string(budget) + " (no sequential fallback)");
+void Solver::require_weights(size_t n, size_t nw) {
+  if (n != nw) {
+    throw Error(ErrorCode::kInvalidArgument,
+                "weighted solve: |w| must equal |a|");
   }
 }
 
@@ -152,203 +134,64 @@ void Solver::wlis_fallback(std::span<const int64_t> a,
   out.k = ctx.lis_res.k;
 }
 
-void Solver::wlis_fallback(std::span<const int64_t> a,
-                           std::span<const int64_t> w, WlisResult& out) {
-  wlis_fallback(a, w, out, *main_ctx_);
-}
-
 void Solver::solve_lis(std::span<const int64_t> a, LisResult& out) {
-  if (opts_.ties == TiesPolicy::kNonDecreasing) {
-    solve_lis<int64_t>(a, out);  // ties matter: go through rank space
-    return;
-  }
-  internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-  internal::poll_cancellation();
-  ThreadSequentialGuard guard(below_cutoff(a.size()));
-  const int64_t n = static_cast<int64_t>(a.size());
-  if (budget_plan(lis_scratch_bytes(n), lis_fallback_bytes(n), "solve_lis") ==
-      BudgetPlan::kFallback) {
-    seq_patience_ranks_into<int64_t>(a, out, fallback_tails_);
-    return;
-  }
-  lis_ranks_into<int64_t>(a, out, main_ctx_->tour);
+  solve_lis<int64_t>(a, out);
 }
 
 void Solver::solve_lis_frontiers(std::span<const int64_t> a,
                                  LisFrontiers& out) {
-  if (opts_.ties == TiesPolicy::kNonDecreasing) {
-    solve_lis_frontiers<int64_t>(a, out);
-    return;
-  }
-  internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-  internal::poll_cancellation();
-  ThreadSequentialGuard guard(below_cutoff(a.size()));
-  const int64_t n = static_cast<int64_t>(a.size());
-  if (budget_plan(lis_scratch_bytes(n), lis_fallback_bytes(n),
-                  "solve_lis_frontiers") == BudgetPlan::kFallback) {
-    seq_patience_frontiers_into<int64_t>(a, out, fallback_tails_);
-    return;
-  }
-  lis_frontiers_into<int64_t>(a, out, main_ctx_->tour);
+  solve_lis_frontiers<int64_t>(a, out);
 }
 
 int64_t Solver::lis_length(std::span<const int64_t> a) {
-  solve_lis(a, main_ctx_->lis_res);
-  return main_ctx_->lis_res.k;
+  return lis_length<int64_t>(a);
 }
 
 void Solver::solve_wlis(std::span<const int64_t> a,
                         std::span<const int64_t> w, WlisResult& out) {
-  if (a.size() != w.size()) {
-    throw Error(ErrorCode::kInvalidArgument, "solve_wlis: |w| must equal |a|");
-  }
-  if (opts_.ties == TiesPolicy::kNonDecreasing) {
-    solve_wlis<int64_t>(a, w, out);
-    return;
-  }
-  internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-  internal::poll_cancellation();
-  ThreadSequentialGuard guard(below_cutoff(a.size()));
-  const int64_t n = static_cast<int64_t>(a.size());
-  WlisWorkspace& ws = main_ctx_->wlis;
-  // Strict raw values compare directly, so the fallback skips the
-  // rank-space pass entirely — and leaves the workspace (and its warm
-  // cache) untouched.
-  if (budget_plan(rank_space_bytes(n) + wlis_scratch_bytes(n),
-                  wlis_fallback_bytes(n),
-                  "solve_wlis") == BudgetPlan::kFallback) {
-    wlis_fallback(a, w, out);
-    return;
-  }
-  try {
-    wlis_into(a, w, ws, out, opts_.structure);
-  } catch (...) {
-    ws.invalidate_cache();
-    throw;
-  }
+  solve_wlis<int64_t>(a, w, out);
 }
 
 void Solver::solve_swgs(std::span<const int64_t> a, LisResult& out,
                         SwgsStats* stats) {
-  if (opts_.ties == TiesPolicy::kNonDecreasing) {
-    solve_swgs<int64_t>(a, out, stats);
-    return;
-  }
-  internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-  internal::poll_cancellation();
-  ThreadSequentialGuard guard(below_cutoff(a.size()));
-  budget_require(swgs_scratch_bytes(static_cast<int64_t>(a.size())),
-                 "solve_swgs");
-  swgs_lis_ranks_into(a, opts_.seed, out, stats);
+  solve_swgs<int64_t>(a, out, stats);
 }
 
 void Solver::solve_swgs_wlis(std::span<const int64_t> a,
                              std::span<const int64_t> w, WlisResult& out,
                              SwgsStats* stats) {
-  if (a.size() != w.size()) {
-    throw Error(ErrorCode::kInvalidArgument,
-                "solve_swgs_wlis: |w| must equal |a|");
-  }
-  if (opts_.ties == TiesPolicy::kNonDecreasing) {
-    solve_swgs_wlis<int64_t>(a, w, out, stats);
-    return;
-  }
-  internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-  internal::poll_cancellation();
-  ThreadSequentialGuard guard(below_cutoff(a.size()));
-  const int64_t n = static_cast<int64_t>(a.size());
-  budget_require(rank_space_bytes(n) + swgs_scratch_bytes(n),
-                 "solve_swgs_wlis");
-  // swgs_wlis_into invalidates the workspace cache both up front and on
-  // any throw out of the rounds, so no extra chokepoint is needed here.
-  swgs_wlis_into(a, w, opts_.seed, main_ctx_->wlis, out, stats);
+  solve_swgs_wlis<int64_t>(a, w, out, stats);
 }
 
-// Validates one Query's shape; shared by solve_many's fail-fast pre-pass
-// and solve_query's own defensive check (the pre-pass means a malformed
-// batch surfaces before any query runs; the in-query check covers direct
-// callers of solve_query added later).
-static void validate_query(const Query& q) {
+void validate_query(const Query& q) {
   const size_t n = q.a.size();
   if (!q.w.empty() && q.w.size() != n) {
     throw Error(ErrorCode::kInvalidArgument,
-                "solve_many: weighted query needs |w| == |a|");
+                "query: weighted query needs |w| == |a|");
   }
   if (!q.rank_out.empty() && q.rank_out.size() < n) {
     throw Error(ErrorCode::kInvalidArgument,
-                "solve_many: rank_out smaller than |a|");
+                "query: rank_out smaller than |a|");
   }
   if (!q.dp_out.empty() && q.dp_out.size() < n) {
     throw Error(ErrorCode::kInvalidArgument,
-                "solve_many: dp_out smaller than |a|");
+                "query: dp_out smaller than |a|");
   }
 }
 
 void Solver::solve_query(const Query& q, QueryResult& r, ThreadCtx& ctx) {
   validate_query(q);
-  const int64_t n = static_cast<int64_t>(q.a.size());
-  const bool nondec = opts_.ties == TiesPolicy::kNonDecreasing;
+  const std::less<int64_t> less;
   if (q.w.empty()) {
-    const size_t rank_cost = nondec ? rank_space_bytes(n) : 0;
-    const bool fallback =
-        budget_plan(rank_cost + lis_scratch_bytes(n),
-                    rank_cost + lis_fallback_bytes(n),
-                    "solve_many") == BudgetPlan::kFallback;
-    if (nondec) {
-      rank_space_into<int64_t>(q.a, TiesPolicy::kNonDecreasing, ctx.lis_rs,
-                               ctx.lis_scratch);
-      std::span<const int64_t> ranks(ctx.lis_rs.rank);
-      if (fallback) {
-        seq_patience_ranks_into<int64_t>(ranks, ctx.lis_res, ctx.tails);
-      } else {
-        lis_ranks_into<int64_t>(ranks, ctx.lis_res, ctx.tour, n);
-      }
-    } else if (fallback) {
-      seq_patience_ranks_into<int64_t>(q.a, ctx.lis_res, ctx.tails);
-    } else {
-      lis_ranks_into<int64_t>(q.a, ctx.lis_res, ctx.tour);
-    }
+    lis_core(q.a, less, ctx.lis_res, ctx);
     r.k = ctx.lis_res.k;
     r.best = ctx.lis_res.k;
-    if (!q.rank_out.empty()) {
-      const int32_t* src = ctx.lis_res.rank.data();
-      int32_t* dst = q.rank_out.data();
-      parallel_for(0, n, [&](int64_t i) { dst[i] = src[i]; });
-    }
+    copy_out(ctx.lis_res.rank, q.rank_out);
   } else {
-    const size_t rank_cost = nondec ? rank_space_bytes(n) : 0;
-    const bool fallback =
-        budget_plan(rank_space_bytes(n) + wlis_scratch_bytes(n),
-                    rank_cost + wlis_fallback_bytes(n),
-                    "solve_many") == BudgetPlan::kFallback;
-    try {
-      if (nondec) {
-        rank_space_into<int64_t>(q.a, TiesPolicy::kNonDecreasing,
-                                 ctx.wlis.rank_space, ctx.wlis.rank_scratch);
-        std::span<const int64_t> ranks(ctx.wlis.rank_space.rank);
-        if (fallback) {
-          ctx.wlis.invalidate_cache();  // rank space clobbered, cache cold
-          wlis_fallback(ranks, q.w, ctx.wlis_res, ctx);
-        } else {
-          wlis_compressed_into(ranks, q.w, ctx.wlis, ctx.wlis_res,
-                               opts_.structure);
-        }
-      } else if (fallback) {
-        wlis_fallback(q.a, q.w, ctx.wlis_res, ctx);
-      } else {
-        wlis_into(q.a, q.w, ctx.wlis, ctx.wlis_res, opts_.structure);
-      }
-    } catch (...) {
-      ctx.wlis.invalidate_cache();
-      throw;
-    }
+    wlis_core(q.a, q.w, less, ctx.wlis_res, ctx);
     r.k = ctx.wlis_res.k;
     r.best = ctx.wlis_res.best;
-    if (!q.dp_out.empty()) {
-      const int64_t* src = ctx.wlis_res.dp.data();
-      int64_t* dst = q.dp_out.data();
-      parallel_for(0, n, [&](int64_t i) { dst[i] = src[i]; });
-    }
+    copy_out(ctx.wlis_res.dp, q.dp_out);
   }
 }
 
@@ -361,8 +204,14 @@ void Solver::solve_many(std::span<const Query> queries,
                 "solve_many: |results| must be >= |queries|");
   }
   const int64_t nq = static_cast<int64_t>(queries.size());
-  // Fail fast: surface any malformed query before the batch does any work.
-  for (int64_t i = 0; i < nq; i++) validate_query(queries[i]);
+  // Fail fast: a malformed query, or one that fits the budget neither in
+  // full nor as a fallback, surfaces before the batch does any work.
+  for (int64_t i = 0; i < nq; i++) {
+    validate_query(queries[i]);
+    admit_fallback(queries[i].w.empty() ? Shape::kLis : Shape::kWlis,
+                   queries[i].a.size(),
+                   !raw_image<int64_t, std::less<int64_t>>());
+  }
   // One context for the whole batch — the deadline is anchored here and
   // shared by the packed tasks (each re-installs it on its own thread).
   const internal::ExecContext batch_ctx =

@@ -9,15 +9,31 @@
 // amortized-serving steady state (many queries through one session)
 // repeated same-size solves allocate nothing.
 //
-// Key types: every solve_* entry point has a typed overload — any `Key`
-// with a strict-weak-order comparator (doubles, timestamps, pairs/tuples
-// under std::less, custom comparators) is first reduced to its dense rank
-// image by the shared rank-space pass (util/rank_space.hpp) and then runs
-// the one int64 solver core; no backend is instantiated per key type. The
-// Options::ties policy picks what "increasing" means for equal keys
-// (kStrict vs kNonDecreasing) and is honored by the int64 overloads too.
-// The generic paths keep the zero-allocation warm steady state: the
-// compression workspace is part of the session scratch.
+// One pipeline. Every solve_* overload (int64 or typed) and every query of
+// solve_many runs the same two stages:
+//  * The entry stage (Entry): installs options().cancel / deadline_ms for
+//    the call, fails fast on a guard that has already tripped, and runs
+//    inputs of at most options().sequential_cutoff elements
+//    thread-sequentially. solve_many installs one scope for the whole
+//    batch instead and solves its packed queries sequentially on claimed
+//    per-runner contexts.
+//  * One core per query shape (LIS ranks/frontiers, WLIS, SWGS, SWGS-WLIS),
+//    which runs, in order:
+//     1. Admission against options().memory_budget_bytes, before anything
+//        is allocated: the full parallel build, the sequential fallback
+//        (patience sorting / Seq-AVL), or Error{kBudgetExceeded}. The rank
+//        space's bytes are counted exactly when the path compresses.
+//     2. The key image: the raw values for int64 keys under std::less and
+//        TiesPolicy::kStrict; otherwise the dense rank image of the keys
+//        under `less` and options().ties (util/rank_space.hpp), so no
+//        backend is instantiated per key type. Floating-point keys under
+//        std::less / std::greater are first checked for NaN, which breaks
+//        the strict weak ordering: Error{kInvalidArgument}, before any
+//        workspace is touched.
+//     3. The full path or the fallback.
+//     4. For the weighted shapes, the cache chokepoint: any throw marks the
+//        WLIS workspace's value cache cold before it propagates.
+//  The int64 overloads are one-line forwards into the same cores.
 //
 // Thread-safety: one Solver per thread. The solve_* methods parallelize
 // *internally* (they drive the shared worker pool), but two threads must
@@ -33,22 +49,23 @@
 // is reused. Results are valid until the output struct is reused; the
 // Solver keeps no pointers into them.
 //
-// Failure semantics: invalid arguments (span-size mismatches, undersized
-// output spans) throw parlis::Error{kInvalidArgument} in every build mode —
-// never UB. Options.cancel / Options.deadline_ms are polled at frontier-
-// round boundaries and unwind as Error{kCancelled} / Error{kDeadlineExceeded};
-// Options.memory_budget_bytes degrades a too-large solve to the sequential
-// fallback (patience sorting / Seq-AVL) or throws Error{kBudgetExceeded}.
-// Any failure unwinds through the workspace cache-invalidation chokepoints,
-// so a post-failure solve on the same Solver is bit-identical to a cold one.
+// Failure semantics: invalid arguments (|w| != |a|, undersized output
+// spans, NaN keys) throw parlis::Error{kInvalidArgument} in every build
+// mode — never UB; validate_query is the Query contract, which
+// serve::Engine::solve_warm also runs on its caller's thread.
+// Options.cancel / Options.deadline_ms are polled at frontier-round
+// boundaries and unwind as Error{kCancelled} / Error{kDeadlineExceeded}.
+// A budget rejection leaves resident_bytes() unchanged. Any failure unwinds
+// through the cache chokepoint, so a post-failure solve on the same Solver
+// is bit-identical to a cold one.
 #pragma once
 
-#include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "parlis/api/options.hpp"
@@ -79,6 +96,11 @@ struct QueryResult {
   int64_t best = 0;  // weighted: max dp; unweighted: k
 };
 
+/// The Query contract: throws Error{kInvalidArgument} when a weighted query
+/// has |w| != |a| or a non-empty rank_out / dp_out is shorter than |a|.
+/// solve_many runs it over the whole batch before any query does work.
+void validate_query(const Query& q);
+
 class LisSession;  // stream/lis_session.hpp
 
 class Solver {
@@ -104,9 +126,9 @@ class Solver {
   /// Re-arm the memory budget between solves (same contract as set_cancel:
   /// workspaces stay warm, not safe concurrently with a running solve).
   /// The serving layer points this at its remaining budget headroom before
-  /// each tenant operation, so budget_plan's admission decision — degrade
-  /// to the sequential fallback or throw Error{kBudgetExceeded} before
-  /// allocating — governs tenant growth too. 0 means unlimited.
+  /// each tenant operation, so admission — degrade to the sequential
+  /// fallback or throw Error{kBudgetExceeded} before allocating — governs
+  /// tenant growth too. 0 means unlimited.
   void set_memory_budget_bytes(uint64_t bytes) {
     opts_.memory_budget_bytes = bytes;
   }
@@ -121,46 +143,23 @@ class Solver {
   /// Unweighted LIS ranks (Alg. 1) of `a` into `out`, under options().ties.
   void solve_lis(std::span<const int64_t> a, LisResult& out);
 
-  /// Typed overload: compresses `a` to rank space under options().ties and
-  /// `less` (a strict weak ordering), then runs the shared int64 kernel.
-  /// Works for any ordered key type — doubles, pairs, tuples, custom
-  /// comparators — with zero steady-state allocations when warm.
+  /// Typed overload: any `Key` under `less` (a strict weak ordering) —
+  /// doubles, pairs, tuples, custom comparators — solved on its rank image
+  /// under options().ties, with zero steady-state allocations when warm.
   template <typename Key, typename Less = std::less<Key>>
   void solve_lis(std::span<const Key> a, LisResult& out, Less less = Less{}) {
-    internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-    internal::poll_cancellation();
-    ThreadSequentialGuard guard(below_cutoff(a.size()));
-    const int64_t n = static_cast<int64_t>(a.size());
-    RankSpace& rs = lis_rank_space();
-    rank_space_into<Key, Less>(a, opts_.ties, rs, lis_rank_scratch(), less);
-    if (budget_plan(rank_space_bytes(n) + lis_scratch_bytes(n),
-                    rank_space_bytes(n) + lis_fallback_bytes(n),
-                    "solve_lis") == BudgetPlan::kFallback) {
-      seq_patience_ranks_into<int64_t>(std::span<const int64_t>(rs.rank), out,
-                                       fallback_tails_);
-      return;
-    }
-    lis_ranks_into<int64_t>(std::span<const int64_t>(rs.rank), out,
-                            main_tournament(), n);
+    Entry entry(opts_, a.size());
+    lis_core(a, less, out, *main_ctx_);
   }
 
-  /// Custom-order form over raw int64 values (no rank reduction):
-  /// "increasing" means strictly increasing under `less`; `inf` must
-  /// compare greater than every input under `less` (e.g. inf = INT64_MIN
-  /// with std::greater for longest decreasing runs).
+  /// Custom-order form over int64 values: "increasing" means increasing
+  /// under `less` (e.g. std::greater for longest decreasing runs), under
+  /// options().ties. It runs on the rank image like every typed key, which
+  /// needs no sentinel, so `inf` is not consulted.
   template <typename Less>
-  void solve_lis(std::span<const int64_t> a, LisResult& out, int64_t inf,
+  void solve_lis(std::span<const int64_t> a, LisResult& out, int64_t /*inf*/,
                  Less less) {
-    internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-    internal::poll_cancellation();
-    ThreadSequentialGuard guard(below_cutoff(a.size()));
-    const int64_t n = static_cast<int64_t>(a.size());
-    if (budget_plan(lis_scratch_bytes(n), lis_fallback_bytes(n),
-                    "solve_lis") == BudgetPlan::kFallback) {
-      seq_patience_ranks_into<int64_t, Less>(a, out, fallback_tails_, less);
-      return;
-    }
-    lis_ranks_into<int64_t, Less>(a, out, main_tournament(), inf, less);
+    solve_lis<int64_t, Less>(a, out, less);
   }
 
   /// Ranks plus the per-round frontiers (what WLIS and the reconstruction
@@ -172,21 +171,8 @@ class Solver {
   template <typename Key, typename Less = std::less<Key>>
   void solve_lis_frontiers(std::span<const Key> a, LisFrontiers& out,
                            Less less = Less{}) {
-    internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-    internal::poll_cancellation();
-    ThreadSequentialGuard guard(below_cutoff(a.size()));
-    const int64_t n = static_cast<int64_t>(a.size());
-    RankSpace& rs = lis_rank_space();
-    rank_space_into<Key, Less>(a, opts_.ties, rs, lis_rank_scratch(), less);
-    if (budget_plan(rank_space_bytes(n) + lis_scratch_bytes(n),
-                    rank_space_bytes(n) + lis_fallback_bytes(n),
-                    "solve_lis_frontiers") == BudgetPlan::kFallback) {
-      seq_patience_frontiers_into<int64_t>(std::span<const int64_t>(rs.rank),
-                                           out, fallback_tails_);
-      return;
-    }
-    lis_frontiers_into<int64_t>(std::span<const int64_t>(rs.rank), out,
-                                main_tournament(), n);
+    Entry entry(opts_, a.size());
+    lis_core(a, less, out, *main_ctx_);
   }
 
   /// LIS length only.
@@ -195,9 +181,8 @@ class Solver {
   /// Typed overload of lis_length.
   template <typename Key, typename Less = std::less<Key>>
   int64_t lis_length(std::span<const Key> a, Less less = Less{}) {
-    LisResult& res = scratch_lis_result();
-    solve_lis<Key, Less>(a, res, less);
-    return res.k;
+    solve_lis<Key, Less>(a, main_ctx_->lis_res, less);
+    return main_ctx_->lis_res.k;
   }
 
   /// Weighted LIS (Alg. 2) with the Options-selected range structure,
@@ -205,43 +190,14 @@ class Solver {
   void solve_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
                   WlisResult& out);
 
-  /// Typed overload: keys are compressed once (shared rank-space pass) and
-  /// the rank image feeds the LIS phase, the range structure, and the
-  /// query positions alike; weights stay int64. dp/best semantics are
-  /// unchanged — dp[i] is over subsequences "increasing" per options().ties
-  /// under `less`.
+  /// Typed overload: the keys' rank image feeds the LIS phase, the range
+  /// structure and the query positions alike; weights stay int64. dp[i] is
+  /// over subsequences "increasing" per options().ties under `less`.
   template <typename Key, typename Less = std::less<Key>>
   void solve_wlis(std::span<const Key> a, std::span<const int64_t> w,
                   WlisResult& out, Less less = Less{}) {
-    if (a.size() != w.size()) {
-      throw Error(ErrorCode::kInvalidArgument,
-                  "solve_wlis: |w| must equal |a|");
-    }
-    internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-    internal::poll_cancellation();
-    ThreadSequentialGuard guard(below_cutoff(a.size()));
-    const int64_t n = static_cast<int64_t>(a.size());
-    WlisWorkspace& ws = main_wlis();
-    // Chokepoint: any throw below (a torn rank-space pass included) leaves
-    // the workspace marked cold, so the next solve rebuilds from scratch.
-    try {
-      rank_space_into<Key, Less>(a, opts_.ties, ws.rank_space, ws.rank_scratch,
-                                 less);
-      if (budget_plan(rank_space_bytes(n) + wlis_scratch_bytes(n),
-                      rank_space_bytes(n) + wlis_fallback_bytes(n),
-                      "solve_wlis") == BudgetPlan::kFallback) {
-        // The fallback bypasses the cached structures but has clobbered the
-        // workspace's rank space: mark the cache cold.
-        ws.invalidate_cache();
-        wlis_fallback(std::span<const int64_t>(ws.rank_space.rank), w, out);
-        return;
-      }
-      wlis_compressed_into(std::span<const int64_t>(ws.rank_space.rank), w, ws,
-                           out, opts_.structure);
-    } catch (...) {
-      ws.invalidate_cache();
-      throw;
-    }
+    Entry entry(opts_, a.size());
+    wlis_core(a, w, less, out, *main_ctx_);
   }
 
   /// SWGS baseline, unweighted (seed from Options), under options().ties.
@@ -253,15 +209,8 @@ class Solver {
   template <typename Key, typename Less = std::less<Key>>
   void solve_swgs(std::span<const Key> a, LisResult& out,
                   SwgsStats* stats = nullptr, Less less = Less{}) {
-    internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-    internal::poll_cancellation();
-    ThreadSequentialGuard guard(below_cutoff(a.size()));
-    const int64_t n = static_cast<int64_t>(a.size());
-    budget_require(rank_space_bytes(n) + swgs_scratch_bytes(n), "solve_swgs");
-    RankSpace& rs = lis_rank_space();
-    rank_space_into<Key, Less>(a, opts_.ties, rs, lis_rank_scratch(), less);
-    swgs_lis_ranks_into(std::span<const int64_t>(rs.rank), opts_.seed, out,
-                        stats);
+    Entry entry(opts_, a.size());
+    swgs_core(a, less, out, stats, *main_ctx_);
   }
 
   /// SWGS baseline, weighted, under options().ties.
@@ -276,34 +225,18 @@ class Solver {
   void solve_swgs_wlis(std::span<const Key> a, std::span<const int64_t> w,
                        WlisResult& out, SwgsStats* stats = nullptr,
                        Less less = Less{}) {
-    if (a.size() != w.size()) {
-      throw Error(ErrorCode::kInvalidArgument,
-                  "solve_swgs_wlis: |w| must equal |a|");
-    }
-    internal::CancelScope scope(opts_.cancel, opts_.deadline_ms);
-    internal::poll_cancellation();
-    ThreadSequentialGuard guard(below_cutoff(a.size()));
-    const int64_t n = static_cast<int64_t>(a.size());
-    budget_require(rank_space_bytes(n) + swgs_scratch_bytes(n),
-                   "solve_swgs_wlis");
-    WlisWorkspace& ws = main_wlis();
-    try {
-      rank_space_into<Key, Less>(a, opts_.ties, ws.rank_space, ws.rank_scratch,
-                                 less);
-      swgs_wlis_compressed_into(std::span<const int64_t>(ws.rank_space.rank),
-                                w, opts_.seed, ws, out, stats);
-    } catch (...) {
-      ws.invalidate_cache();
-      throw;
-    }
+    Entry entry(opts_, a.size());
+    swgs_wlis_core(a, w, less, out, stats, *main_ctx_);
   }
 
   /// Batched serving: solves queries[i] into results[i] for every i.
-  /// Queries are independent; |results| >= |queries|. Queries with
-  /// |a| <= options().sequential_cutoff are packed across the worker pool
-  /// (one task each, solved sequentially on per-worker workspaces); larger
-  /// ones run one at a time with intra-query parallelism. Honors
-  /// options().ties like every other entry point.
+  /// Queries are independent; |results| >= |queries|. Every query is
+  /// validated and admitted against the memory budget before any of them
+  /// runs. Queries with |a| <= options().sequential_cutoff are packed
+  /// across the worker pool (one task each, solved sequentially on
+  /// per-worker workspaces); larger ones run one at a time with
+  /// intra-query parallelism. Honors options().ties like every other
+  /// entry point.
   void solve_many(std::span<const Query> queries,
                   std::span<QueryResult> results);
 
@@ -314,7 +247,22 @@ class Solver {
   LisSession make_session();
 
  private:
-  struct ThreadCtx;
+  // Everything one thread needs to solve any query shape end to end. The
+  // LIS-side rank space (lis_rs) is separate from wlis.rank_space on
+  // purpose: the latter's contents back the WLIS value-sequence cache, so
+  // an unweighted typed solve between two weighted solves must not
+  // clobber it.
+  struct ThreadCtx {
+    TournamentStorage<int64_t> tour;
+    WlisWorkspace wlis;
+    RankSpace lis_rs;
+    RankSpaceScratch lis_scratch;
+    LisResult lis_res;
+    WlisResult wlis_res;
+    std::vector<int64_t> tails;  // patience-fallback scratch
+
+    size_t resident_bytes() const;
+  };
   struct CtxSlot;
 
   // RAII: while `active`, par_do/parallel_for on this thread run inline
@@ -337,52 +285,164 @@ class Solver {
     bool prev_ = false;
   };
 
-  bool below_cutoff(size_t n) const {
-    return static_cast<int64_t>(n) <= opts_.sequential_cutoff;
+  // The entry stage of every direct solve_* call (see the header comment).
+  class Entry {
+   public:
+    Entry(const Options& o, size_t n)
+        : scope_(o.cancel, o.deadline_ms),
+          seq_(static_cast<int64_t>(n) <= o.sequential_cutoff) {
+      internal::poll_cancellation();
+    }
+
+   private:
+    internal::CancelScope scope_;
+    ThreadSequentialGuard seq_;
+  };
+
+  // Admission (step 1 of every core). Returns true when only the
+  // sequential fallback fits the budget, false for the full build; throws
+  // Error{kBudgetExceeded} when neither fits (SWGS has no fallback).
+  // `compresses`: the path builds a rank image. The byte models live in
+  // solver.cpp.
+  enum class Shape { kLis, kWlis, kSwgs, kSwgsWlis };
+  bool admit_fallback(Shape shape, size_t n, bool compresses) const;
+
+  // Step 2's choice: raw keys for int64 under std::less with kStrict ties.
+  template <typename Key, typename Less>
+  bool raw_image() const {
+    return std::is_same_v<Key, int64_t> &&
+           std::is_same_v<Less, std::less<int64_t>> &&
+           opts_.ties == TiesPolicy::kStrict;
   }
 
-  // Memory-budget admission (Options::memory_budget_bytes). The byte
-  // figures are documented scratch-size models (README "Failure
-  // semantics"), deliberately generous; the fault tests pin each one >= the
-  // structures' real accounting. budget_plan picks the full parallel build
-  // when it fits, the sequential fallback when only that fits, and throws
-  // Error{kBudgetExceeded} otherwise; budget_require is the no-fallback
-  // form (SWGS has no sequential twin).
-  enum class BudgetPlan { kFull, kFallback };
-  BudgetPlan budget_plan(size_t full_bytes, size_t fallback_bytes,
-                         const char* what) const;
-  void budget_require(size_t bytes, const char* what) const;
-  static size_t rank_space_bytes(int64_t n);
-  static size_t lis_scratch_bytes(int64_t n);
-  static size_t lis_fallback_bytes(int64_t n);
-  static size_t wlis_scratch_bytes(int64_t n);
-  static size_t wlis_fallback_bytes(int64_t n);
-  static size_t swgs_scratch_bytes(int64_t n);
-  // Sequential WLIS degradation: Seq-AVL dp sweep + patience length. `a`
-  // must compare strictly (raw values or a rank image). The first form runs
-  // on the caller-thread context; the ctx form is for solve_many's packed
-  // runners, whose scratch must not alias the shared members.
-  void wlis_fallback(std::span<const int64_t> a, std::span<const int64_t> w,
-                     WlisResult& out);
-  void wlis_fallback(std::span<const int64_t> a, std::span<const int64_t> w,
-                     WlisResult& out, ThreadCtx& ctx);
+  // Step 2's NaN check; the int64 paths pay no pass.
+  template <typename Key, typename Less>
+  static void reject_nan(std::span<const Key> a) {
+    if constexpr (std::is_floating_point_v<Key> &&
+                  (std::is_same_v<Less, std::less<Key>> ||
+                   std::is_same_v<Less, std::greater<Key>>)) {
+      for (const Key& x : a) {
+        if (std::isnan(x)) {
+          throw Error(ErrorCode::kInvalidArgument,
+                      "NaN key: NaN has no place in a strict weak ordering");
+        }
+      }
+    }
+  }
+  static void require_weights(size_t n, size_t nw);
 
+  // Step 2: the keys themselves when `raw`, else their rank image in `rs`.
+  template <typename Key, typename Less>
+  std::span<const int64_t> key_image(std::span<const Key> a, Less less,
+                                     [[maybe_unused]] bool raw, RankSpace& rs,
+                                     RankSpaceScratch& scratch) const {
+    if constexpr (std::is_same_v<Key, int64_t>) {
+      if (raw) return a;
+    }
+    rank_space_into<Key, Less>(a, opts_.ties, rs, scratch, less);
+    return rs.rank;
+  }
+
+  // Step 4: a throw out of `body` leaves the value cache cold, so the next
+  // solve on `ws` rebuilds everything (a torn rank-space pass included).
+  template <typename F>
+  static void cache_chokepoint(WlisWorkspace& ws, F&& body) {
+    try {
+      body();
+    } catch (...) {
+      ws.invalidate_cache();
+      throw;
+    }
+  }
+
+  // LIS core: ranks (LisResult) or ranks plus frontiers (LisFrontiers).
+  template <typename Key, typename Less, typename Out>
+  void lis_core(std::span<const Key> a, Less less, Out& out, ThreadCtx& ctx) {
+    constexpr bool kFrontiers = std::is_same_v<Out, LisFrontiers>;
+    const bool raw = raw_image<Key, Less>();
+    const bool fallback = admit_fallback(Shape::kLis, a.size(), !raw);
+    reject_nan<Key, Less>(a);
+    const auto img = key_image(a, less, raw, ctx.lis_rs, ctx.lis_scratch);
+    if (!fallback) {
+      if constexpr (kFrontiers) {
+        lis_frontiers_into<int64_t>(img, out, ctx.tour);
+      } else {
+        lis_ranks_into<int64_t>(img, out, ctx.tour);
+      }
+    } else if constexpr (kFrontiers) {
+      seq_patience_frontiers_into<int64_t>(img, out, ctx.tails);
+    } else {
+      seq_patience_ranks_into<int64_t>(img, out, ctx.tails);
+    }
+  }
+
+  // WLIS core. Raw keys go through wlis_into, which checks the value cache
+  // against the keys themselves; the fallback compares the image directly.
+  template <typename Key, typename Less>
+  void wlis_core(std::span<const Key> a, std::span<const int64_t> w,
+                 Less less, WlisResult& out, ThreadCtx& ctx) {
+    require_weights(a.size(), w.size());
+    const bool raw = raw_image<Key, Less>();
+    const bool fallback = admit_fallback(Shape::kWlis, a.size(), !raw);
+    reject_nan<Key, Less>(a);
+    WlisWorkspace& ws = ctx.wlis;
+    cache_chokepoint(ws, [&] {
+      const auto img = key_image(a, less, raw, ws.rank_space, ws.rank_scratch);
+      if (fallback) {
+        // A rank image has overwritten the cached rank space; raw keys
+        // leave the workspace, and its warm cache, untouched.
+        if (!raw) ws.invalidate_cache();
+        wlis_fallback(img, w, out, ctx);
+      } else if (raw) {
+        wlis_into(img, w, ws, out, opts_.structure);
+      } else {
+        wlis_compressed_into(img, w, ws, out, opts_.structure);
+      }
+    });
+  }
+
+  // SWGS core (no sequential fallback: admission fits or throws).
+  template <typename Key, typename Less>
+  void swgs_core(std::span<const Key> a, Less less, LisResult& out,
+                 SwgsStats* stats, ThreadCtx& ctx) {
+    const bool raw = raw_image<Key, Less>();
+    admit_fallback(Shape::kSwgs, a.size(), !raw);
+    reject_nan<Key, Less>(a);
+    swgs_lis_ranks_into(key_image(a, less, raw, ctx.lis_rs, ctx.lis_scratch),
+                        opts_.seed, out, stats);
+  }
+
+  // SWGS-WLIS core: shares the WLIS workspace (and so its chokepoint).
+  template <typename Key, typename Less>
+  void swgs_wlis_core(std::span<const Key> a, std::span<const int64_t> w,
+                      Less less, WlisResult& out, SwgsStats* stats,
+                      ThreadCtx& ctx) {
+    require_weights(a.size(), w.size());
+    const bool raw = raw_image<Key, Less>();
+    admit_fallback(Shape::kSwgsWlis, a.size(), !raw);
+    reject_nan<Key, Less>(a);
+    WlisWorkspace& ws = ctx.wlis;
+    cache_chokepoint(ws, [&] {
+      const auto img = key_image(a, less, raw, ws.rank_space, ws.rank_scratch);
+      if (raw) {
+        swgs_wlis_into(img, w, opts_.seed, ws, out, stats);
+      } else {
+        swgs_wlis_compressed_into(img, w, opts_.seed, ws, out, stats);
+      }
+    });
+  }
+
+  // Sequential WLIS degradation: Seq-AVL dp sweep + patience length over a
+  // strictly comparing image, on `ctx`'s scratch.
+  static void wlis_fallback(std::span<const int64_t> a,
+                            std::span<const int64_t> w, WlisResult& out,
+                            ThreadCtx& ctx);
+
+  // solve_many's per-query step: validate, core, copy-out.
   void solve_query(const Query& q, QueryResult& r, ThreadCtx& ctx);
-  // Accessors into the caller-thread context (main_ctx_), so the template
-  // entry points above can reach the workspaces without the header seeing
-  // ThreadCtx's definition. main_tournament: one warm tournament storage
-  // serves solve_lis, solve_lis_frontiers, and solve_many's large
-  // unweighted queries alike. lis_rank_space/lis_rank_scratch: the
-  // LIS-side compression buffers — deliberately separate from the WLIS
-  // workspace's rank space, whose contents back the value-sequence cache.
-  TournamentStorage<int64_t>& main_tournament();
-  WlisWorkspace& main_wlis();
-  RankSpace& lis_rank_space();
-  RankSpaceScratch& lis_rank_scratch();
-  LisResult& scratch_lis_result();
 
   Options opts_;
-  std::unique_ptr<ThreadCtx> main_ctx_; // caller-thread workspaces
+  std::unique_ptr<ThreadCtx> main_ctx_;  // caller-thread workspaces
   // solve_many per-runner contexts, claimed through a busy flag: a runner
   // probes from slot pool_thread_id() + 1 (so the external calling thread
   // prefers slot 0 and pool workers their own slot) to the first free one.
@@ -390,8 +450,7 @@ class Solver {
   // packed tasks and every such thread reports pool_thread_id() == -1.
   std::unique_ptr<CtxSlot[]> ctx_;
   size_t ctx_n_ = 0;
-  std::vector<int64_t> small_idx_;      // batch partition scratch
-  std::vector<int64_t> fallback_tails_;  // patience-fallback scratch
+  std::vector<int64_t> small_idx_;  // batch partition scratch
 };
 
 }  // namespace parlis

@@ -370,6 +370,9 @@ int64_t Engine::append(uint64_t series, int64_t value,
 
 QueryResult Engine::solve_warm(uint64_t series, const Query& q,
                                const RequestGuard& guard) {
+  // The warm verb copies into the caller's spans on the dispatcher, so the
+  // query is validated here, before a tenant is pinned.
+  validate_query(q);
   QueryResult res;
   Request r;
   r.kind = Request::Kind::kWarm;

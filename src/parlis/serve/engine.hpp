@@ -109,7 +109,9 @@ class Engine {
   /// run solve_wlis against the tenant's value-sequence cache (repeated
   /// queries over a hot series skip frontier/rank/tree recomputation —
   /// stats count the hits), unweighted ones keep the tenant's tournament
-  /// warm. Large inputs get intra-query parallelism via the solver.
+  /// warm. Large inputs get intra-query parallelism via the solver. A
+  /// query that breaks validate_query throws Error{kInvalidArgument} on the
+  /// caller's thread, before any tenant is pinned.
   QueryResult solve_warm(uint64_t series, const Query& q,
                          const RequestGuard& guard = {});
 

@@ -553,11 +553,13 @@ VebTree::VebTree(uint64_t universe, Arena* pool)
     : own_arena_(pool ? nullptr : std::make_unique<Arena>()),
       arena_(pool ? pool : own_arena_.get()),
       universe_(universe) {
-  if (universe == 0) {
-    throw Error(ErrorCode::kInvalidArgument, "VebTree: universe must be >= 1");
+  if (universe == 0 || universe > kMaxUniverse) {
+    throw Error(ErrorCode::kInvalidArgument,
+                "VebTree: universe " + std::to_string(universe) +
+                    " outside [1, 2^48]");
   }
   int bits = 1;
-  while ((uint64_t{1} << bits) < universe && bits < 63) bits++;
+  while ((uint64_t{1} << bits) < universe) bits++;
   root_ = arena_->create<Node>(bits);
 }
 

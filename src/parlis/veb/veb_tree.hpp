@@ -24,10 +24,11 @@
 // Batch inputs must be sorted and duplicate-free; keys already present
 // (insert) or absent (delete) are filtered out internally.
 //
-// Boundary contract: a universe of 0, and any key >= universe handed to an
-// update that would store it (insert, the in_key of replace_top, the last
-// key of a batch_insert), throw parlis::Error{kInvalidArgument} in every
-// build mode, before the tree is touched. Queries and removals stay total:
+// Boundary contract: a universe of 0 or above kMaxUniverse (2^48), and any
+// key >= universe handed to an update that would store it (insert, the
+// in_key of replace_top, the last key of a batch_insert), throw
+// parlis::Error{kInvalidArgument} in every build mode, before the tree is
+// touched. Queries and removals stay total:
 // contains / succ_* of a key >= universe report "absent" / nullopt, pred_*
 // clamp to the universe, and erase / batch_delete ignore such keys.
 #pragma once
@@ -56,8 +57,14 @@ class VebTree {
   /// assigned over.
   struct Node;
 
-  /// Creates an empty set over universe [0, universe); universe >= 1
-  /// (0 throws Error{kInvalidArgument}).
+  /// Largest supported universe: 2^48 keys, whose root cluster table is
+  /// 2^24 pointers (128 MiB, materialized on the first insert that reaches
+  /// a cluster). Larger universes would grow that table up to 2^32
+  /// pointers (32 GiB) at 2^64.
+  static constexpr uint64_t kMaxUniverse = uint64_t{1} << 48;
+
+  /// Creates an empty set over universe [0, universe); 1 <= universe <=
+  /// kMaxUniverse (anything else throws Error{kInvalidArgument}).
   explicit VebTree(uint64_t universe);
 
   /// Same, but draws every node from `pool` instead of a private arena —

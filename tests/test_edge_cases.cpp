@@ -7,6 +7,9 @@
 // scan silently corrupts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -14,6 +17,8 @@
 #include "parlis/api/solver.hpp"
 #include "parlis/lis/lis.hpp"
 #include "parlis/swgs/swgs.hpp"
+#include "parlis/util/error.hpp"
+#include "parlis/util/failpoint.hpp"
 #include "parlis/util/rank_space.hpp"
 #include "parlis/wlis/wlis.hpp"
 
@@ -254,6 +259,61 @@ TEST(EdgeCases, SolveManyNonDecreasingTies) {
   solver.solve_many(queries, results);
   EXPECT_EQ(results[0].k, 6);
   EXPECT_EQ(results[1].best, 18);
+}
+
+// NaN compares neither below nor above anything, so it breaks the strict
+// weak ordering every kernel relies on ({1, NaN, 2, 0.5, 3} used to come
+// back as k = 2). Every typed entry point rejects it with kInvalidArgument
+// before a workspace is touched, so a warm WLIS value cache survives.
+TEST(EdgeCases, NanKeysAreRejectedBeforeAnyWorkspaceIsTouched) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> bad = {1, nan, 2, 0.5, 3};
+  const std::span<const double> b(bad);
+  const std::vector<int64_t> bw(bad.size(), 1);
+  auto expect_invalid = [](auto&& fn) {
+    try {
+      fn();
+      ADD_FAILURE() << "expected Error{kInvalidArgument}, call succeeded";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
+    }
+  };
+
+  Solver solver;
+  const int64_t n = 3000;
+  std::vector<double> good(n);
+  std::vector<int64_t> gw(n);
+  for (int64_t i = 0; i < n; i++) {
+    good[i] = static_cast<double>((i * 7919) % 1013) / 7.0;
+    gw[i] = 1 + (i * 31) % 17;
+  }
+  const std::span<const double> g(good);
+  WlisResult warm, out;
+  solver.solve_wlis(g, gw, warm);  // primes the value cache
+
+  LisResult lr;
+  LisFrontiers fr;
+  expect_invalid([&] { solver.solve_lis(b, lr); });
+  expect_invalid([&] { solver.solve_lis(b, lr, std::greater<double>{}); });
+  expect_invalid([&] { solver.solve_lis_frontiers(b, fr); });
+  expect_invalid([&] { (void)solver.lis_length(b); });
+  expect_invalid([&] { solver.solve_wlis(b, bw, out); });
+  expect_invalid([&] { solver.solve_swgs(b, lr); });
+
+  // The rejected weighted call left the cache warm: the next solve over the
+  // same keys re-runs no LIS round (observable where failpoints are
+  // compiled in) and matches the warm result bit for bit.
+  if (failpoints::enabled()) {
+    failpoints::arm_nth("lis.round", std::numeric_limits<uint64_t>::max());
+  }
+  solver.solve_wlis(g, gw, out);
+  if (failpoints::enabled()) {
+    EXPECT_EQ(failpoints::hit_count("lis.round"), 0u);
+    failpoints::disarm("lis.round");
+  }
+  EXPECT_EQ(out.dp, warm.dp);
+  EXPECT_EQ(out.best, warm.best);
+  EXPECT_EQ(out.k, warm.k);
 }
 
 }  // namespace

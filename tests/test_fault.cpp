@@ -739,87 +739,144 @@ TEST(Cancellation, UntrippedTokenIsFree) {
 // unlimited reference exactly; a rejected one must say kBudgetExceeded. The
 // sweep spans "nothing fits" through "everything fits", so both the
 // degradation path and the full path are exercised without hard-coding the
-// size models' constants.
+// size models' constants. Each sweep runs under both ties policies and,
+// for the direct solves, both key forms (the int64 overload and the typed
+// solve_*<double>), and a rejection must leave resident_bytes() unchanged:
+// admission runs before anything is allocated, rank space included.
+constexpr TiesPolicy kBothTies[] = {TiesPolicy::kStrict,
+                                    TiesPolicy::kNonDecreasing};
+
+std::string sweep_case(TiesPolicy ties, bool typed) {
+  return std::string(ties == TiesPolicy::kStrict ? "strict" : "nondec") +
+         (typed ? " solve_*<double>" : " int64");
+}
+
+std::vector<double> as_doubles(const std::vector<int64_t>& a) {
+  return std::vector<double>(a.begin(), a.end());
+}
+
 TEST(MemoryBudget, LisSweepDegradesExactly) {
   const int64_t n = 60000;
   const std::vector<int64_t> a = make_vals(n, 91);
-  LisResult ref;
-  Solver unlimited;
-  unlimited.solve_lis(a, ref);
+  const std::vector<double> da = as_doubles(a);
+  for (TiesPolicy ties : kBothTies) {
+    for (bool typed : {false, true}) {
+      SCOPED_TRACE(sweep_case(ties, typed));
+      auto solve = [&](Solver& s, LisResult& out) {
+        if (typed) {
+          s.solve_lis(std::span<const double>(da), out);
+        } else {
+          s.solve_lis(a, out);
+        }
+      };
+      Options uo;
+      uo.ties = ties;
+      LisResult ref;
+      Solver unlimited(uo);
+      solve(unlimited, ref);
 
-  int rejected = 0, admitted = 0;
-  for (uint64_t budget : {uint64_t{1}, uint64_t{64} << 10, uint64_t{1} << 20,
-                          uint64_t{4} << 20, uint64_t{64} << 20, uint64_t{0}}) {
-    SCOPED_TRACE("budget=" + std::to_string(budget));
-    Options o;
-    o.memory_budget_bytes = budget;
-    Solver s(o);
-    LisResult out;
-    try {
-      s.solve_lis(a, out);
-      admitted++;
-      EXPECT_EQ(out.rank, ref.rank);
-      EXPECT_EQ(out.k, ref.k);
-      // Frontier form under the same budget agrees too.
-      LisFrontiers fr;
-      s.solve_lis_frontiers(a, fr);
-      EXPECT_EQ(fr.rank, ref.rank);
-      EXPECT_EQ(fr.k, ref.k);
-      EXPECT_EQ(fr.frontier_offset.back(), n);
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kBudgetExceeded) << e.what();
-      rejected++;
+      int rejected = 0, admitted = 0;
+      for (uint64_t budget :
+           {uint64_t{1}, uint64_t{64} << 10, uint64_t{1} << 20,
+            uint64_t{4} << 20, uint64_t{64} << 20, uint64_t{0}}) {
+        SCOPED_TRACE("budget=" + std::to_string(budget));
+        Options o = uo;
+        o.memory_budget_bytes = budget;
+        Solver s(o);
+        LisResult out;
+        const size_t resident = s.resident_bytes();
+        try {
+          solve(s, out);
+          admitted++;
+          EXPECT_EQ(out.rank, ref.rank);
+          EXPECT_EQ(out.k, ref.k);
+          // Frontier form under the same budget agrees too.
+          LisFrontiers fr;
+          if (typed) {
+            s.solve_lis_frontiers(std::span<const double>(da), fr);
+          } else {
+            s.solve_lis_frontiers(a, fr);
+          }
+          EXPECT_EQ(fr.rank, ref.rank);
+          EXPECT_EQ(fr.k, ref.k);
+          EXPECT_EQ(fr.frontier_offset.back(), n);
+        } catch (const Error& e) {
+          EXPECT_EQ(e.code(), ErrorCode::kBudgetExceeded) << e.what();
+          EXPECT_EQ(s.resident_bytes(), resident);
+          rejected++;
+        }
+      }
+      EXPECT_GE(rejected, 1);  // the 1-byte budget can never fit
+      EXPECT_GE(admitted, 2);  // unlimited + at least one generous budget
     }
   }
-  EXPECT_GE(rejected, 1);  // the 1-byte budget can never fit
-  EXPECT_GE(admitted, 2);  // unlimited + at least one generous budget
 }
 
 TEST(MemoryBudget, WlisSweepDegradesExactly) {
   const int64_t n = 60000;
   const std::vector<int64_t> a = make_vals(n, 92);
+  const std::vector<double> da = as_doubles(a);
   const std::vector<int64_t> w = make_weights(n, 93);
-  WlisResult ref;
-  Solver unlimited;
-  unlimited.solve_wlis(a, w, ref);
+  for (TiesPolicy ties : kBothTies) {
+    for (bool typed : {false, true}) {
+      SCOPED_TRACE(sweep_case(ties, typed));
+      auto solve = [&](Solver& s, WlisResult& out) {
+        if (typed) {
+          s.solve_wlis(std::span<const double>(da), w, out);
+        } else {
+          s.solve_wlis(a, w, out);
+        }
+      };
+      Options uo;
+      uo.ties = ties;
+      WlisResult ref;
+      Solver unlimited(uo);
+      solve(unlimited, ref);
 
-  int rejected = 0, admitted = 0, degraded = 0;
-  for (uint64_t budget :
-       {uint64_t{1}, uint64_t{256} << 10, uint64_t{8} << 20,
-        uint64_t{64} << 20, uint64_t{256} << 20, uint64_t{0}}) {
-    SCOPED_TRACE("budget=" + std::to_string(budget));
-    Options o;
-    o.memory_budget_bytes = budget;
-    Solver s(o);
-    WlisResult out;
-    try {
-      s.solve_wlis(a, w, out);
-      admitted++;
-      EXPECT_EQ(out.dp, ref.dp);
-      EXPECT_EQ(out.best, ref.best);
-      EXPECT_EQ(out.k, ref.k);
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kBudgetExceeded) << e.what();
-      rejected++;
+      int rejected = 0, admitted = 0, degraded = 0;
+      for (uint64_t budget :
+           {uint64_t{1}, uint64_t{256} << 10, uint64_t{8} << 20,
+            uint64_t{64} << 20, uint64_t{256} << 20, uint64_t{0}}) {
+        SCOPED_TRACE("budget=" + std::to_string(budget));
+        Options o = uo;
+        o.memory_budget_bytes = budget;
+        Solver s(o);
+        WlisResult out;
+        const size_t resident = s.resident_bytes();
+        try {
+          solve(s, out);
+          admitted++;
+          EXPECT_EQ(out.dp, ref.dp);
+          EXPECT_EQ(out.best, ref.best);
+          EXPECT_EQ(out.k, ref.k);
+        } catch (const Error& e) {
+          EXPECT_EQ(e.code(), ErrorCode::kBudgetExceeded) << e.what();
+          EXPECT_EQ(s.resident_bytes(), resident);
+          rejected++;
+        }
+      }
+      EXPECT_GE(rejected, 1);
+      EXPECT_GE(admitted, 2);
+      // The 8 MiB point sits between the documented fallback (~64 B/elem,
+      // ~122 with a rank space) and full (~150+ B/elem) footprints at
+      // n = 60000, so the sweep provably crossed the degradation regime,
+      // not just reject/full.
+      Options mid = uo;
+      mid.memory_budget_bytes = uint64_t{8} << 20;
+      Solver s_mid(mid);
+      WlisResult out_mid;
+      solve(s_mid, out_mid);
+      degraded++;
+      EXPECT_EQ(out_mid.dp, ref.dp);
+      EXPECT_EQ(out_mid.best, ref.best);
+      EXPECT_EQ(out_mid.k, ref.k);
+      EXPECT_EQ(degraded, 1);
     }
   }
-  EXPECT_GE(rejected, 1);
-  EXPECT_GE(admitted, 2);
-  // The 8 MiB point sits between the documented fallback (~64 B/elem) and
-  // full (~150+ B/elem) footprints at n = 60000, so the sweep provably
-  // crossed the degradation regime, not just reject/full.
-  Options mid;
-  mid.memory_budget_bytes = uint64_t{8} << 20;
-  Solver s_mid(mid);
-  WlisResult out_mid;
-  s_mid.solve_wlis(a, w, out_mid);
-  degraded++;
-  EXPECT_EQ(out_mid.dp, ref.dp);
-  EXPECT_EQ(out_mid.best, ref.best);
-  EXPECT_EQ(out_mid.k, ref.k);
-  EXPECT_EQ(degraded, 1);
 }
 
+// solve_many's queries are int64 spans, so this sweep runs the ties axis
+// only. A batch either fits or is rejected before any query runs.
 TEST(MemoryBudget, SolveManySweepMatchesUnlimited) {
   const int64_t n = 10000;
   const std::vector<int64_t> a1 = make_vals(n, 94);
@@ -827,25 +884,32 @@ TEST(MemoryBudget, SolveManySweepMatchesUnlimited) {
   const std::vector<int64_t> w = make_weights(n, 96);
   const std::vector<int64_t> small = make_vals(256, 97);
   std::vector<Query> qs{Query{a1}, Query{a2, w}, Query{small}};
-  std::vector<QueryResult> ref(qs.size());
-  Solver unlimited;
-  unlimited.solve_many(qs, ref);
+  for (TiesPolicy ties : kBothTies) {
+    SCOPED_TRACE(sweep_case(ties, false));
+    Options uo;
+    uo.ties = ties;
+    std::vector<QueryResult> ref(qs.size());
+    Solver unlimited(uo);
+    unlimited.solve_many(qs, ref);
 
-  for (uint64_t budget : {uint64_t{256} << 10, uint64_t{2} << 20,
-                          uint64_t{8} << 20, uint64_t{0}}) {
-    SCOPED_TRACE("budget=" + std::to_string(budget));
-    Options o;
-    o.memory_budget_bytes = budget;
-    Solver s(o);
-    std::vector<QueryResult> rs(qs.size());
-    try {
-      s.solve_many(qs, rs);
-      for (size_t i = 0; i < qs.size(); i++) {
-        EXPECT_EQ(rs[i].k, ref[i].k) << "query " << i;
-        EXPECT_EQ(rs[i].best, ref[i].best) << "query " << i;
+    for (uint64_t budget : {uint64_t{256} << 10, uint64_t{2} << 20,
+                            uint64_t{8} << 20, uint64_t{0}}) {
+      SCOPED_TRACE("budget=" + std::to_string(budget));
+      Options o = uo;
+      o.memory_budget_bytes = budget;
+      Solver s(o);
+      std::vector<QueryResult> rs(qs.size());
+      const size_t resident = s.resident_bytes();
+      try {
+        s.solve_many(qs, rs);
+        for (size_t i = 0; i < qs.size(); i++) {
+          EXPECT_EQ(rs[i].k, ref[i].k) << "query " << i;
+          EXPECT_EQ(rs[i].best, ref[i].best) << "query " << i;
+        }
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kBudgetExceeded) << e.what();
+        EXPECT_EQ(s.resident_bytes(), resident);
       }
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kBudgetExceeded) << e.what();
     }
   }
 }

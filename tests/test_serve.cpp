@@ -494,6 +494,60 @@ TEST(ServeEngine, AppendAndWarmSolveMatchDirect) {
   EXPECT_EQ(st.tenants, 1);
 }
 
+// solve_warm copies its results into the caller's spans on the dispatcher,
+// so a malformed query must fail on the caller's thread, before it pins a
+// tenant: an undersized rank_out / dp_out used to be written past its end.
+TEST(ServeEngine, WarmSolveValidatesQueryBeforePinning) {
+  const int64_t n = 600;
+  const auto vals = make_vals(n, 61);
+  const auto wts = make_weights(n, 62);
+  const uint64_t kSeries = 9;
+  Engine engine(EngineConfig{});
+
+  std::vector<int32_t> short_rank(static_cast<size_t>(n / 2));
+  std::vector<int64_t> short_dp(static_cast<size_t>(n / 2));
+  Query bad_rank;
+  bad_rank.a = vals;
+  bad_rank.rank_out = short_rank;
+  Query bad_dp;
+  bad_dp.a = vals;
+  bad_dp.w = wts;
+  bad_dp.dp_out = short_dp;
+  Query bad_w;
+  bad_w.a = vals;
+  bad_w.w = std::span<const int64_t>(wts).first(static_cast<size_t>(n - 1));
+  for (const Query* q : {&bad_rank, &bad_dp, &bad_w}) {
+    expect_error(ErrorCode::kInvalidArgument,
+                 [&] { (void)engine.solve_warm(kSeries, *q); });
+  }
+  EXPECT_EQ(engine.stats().tenants, 0);
+
+  // The engine keeps serving, warm and coalesced verbs alike.
+  WlisResult want_w;
+  LisResult want_l;
+  {
+    Solver s;
+    s.solve_wlis(vals, wts, want_w);
+    s.solve_lis(vals, want_l);
+  }
+  std::vector<int64_t> dp(static_cast<size_t>(n));
+  Query good_w;
+  good_w.a = vals;
+  good_w.w = wts;
+  good_w.dp_out = dp;
+  const QueryResult rw = engine.solve_warm(kSeries, good_w);
+  EXPECT_EQ(rw.best, want_w.best);
+  EXPECT_EQ(dp, want_w.dp);
+  std::vector<int32_t> rank(static_cast<size_t>(n));
+  Query good_l;
+  good_l.a = vals;
+  good_l.rank_out = rank;
+  EXPECT_EQ(engine.solve_warm(kSeries, good_l).k, want_l.k);
+  EXPECT_EQ(rank, want_l.rank);
+  EXPECT_EQ(engine.solve_one(good_l).k, want_l.k);
+  EXPECT_EQ(engine.stats().tenants, 1);
+}
+
 TEST(ServeEngine, MultiClientStress) {
   // TSan target: concurrent clients mixing coalescable solves with tenant
   // ops on a budget small enough to force eviction churn underneath them.

@@ -130,6 +130,26 @@ TEST(VebContract, ZeroUniverseIsRejected) {
   expect_invalid_argument([&] { one.insert(1); });
 }
 
+// Universes are capped at VebTree::kMaxUniverse (2^48). Above it the root
+// cluster table would outgrow memory on the first insert, and keys past
+// 2^63 used to be truncated silently. Both constructors reject cap + 1 and
+// ~0; a tree at the cap itself constructs without inserting anything.
+TEST(VebContract, UniverseAboveTheCapIsRejected) {
+  Arena pool;
+  for (uint64_t u : {VebTree::kMaxUniverse + 1, ~uint64_t{0}}) {
+    expect_invalid_argument([&] { VebTree t(u); });
+    expect_invalid_argument([&] { VebTree t(u, &pool); });
+  }
+  EXPECT_EQ(pool.bytes_allocated(), 0u);
+  VebTree at_cap(VebTree::kMaxUniverse);
+  EXPECT_EQ(at_cap.universe(), VebTree::kMaxUniverse);
+  EXPECT_TRUE(at_cap.empty());
+  EXPECT_FALSE(at_cap.contains(VebTree::kMaxUniverse - 1));
+  EXPECT_FALSE(at_cap.succ_gt(0).has_value());
+  VebTree shared_at_cap(VebTree::kMaxUniverse, &pool);
+  EXPECT_TRUE(shared_at_cap.empty());
+}
+
 TEST(VebContract, InsertOutsideUniverseThrows) {
   for (uint64_t u : {uint64_t{1000}, uint64_t{1024}, uint64_t{1} << 20}) {
     VebTree t(u);
