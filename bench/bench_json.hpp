@@ -9,23 +9,50 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "parlis/util/simd.hpp"
+
 namespace parlis::bench {
 
+/// CPU model string of the host ("model name" in /proc/cpuinfo), read once
+/// per process; "unknown" where the file or the field is absent.
+inline const std::string& host_cpu_model() {
+  static const std::string model = [] {
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind("model name", 0) != 0) continue;
+      const size_t colon = line.find(':');
+      if (colon == std::string::npos) break;
+      const size_t start = line.find_first_not_of(" \t", colon + 1);
+      return start == std::string::npos ? std::string("unknown")
+                                        : line.substr(start);
+    }
+    return std::string("unknown");
+  }();
+  return model;
+}
+
 /// One flat JSON object, built field-by-field in insertion order. Every
-/// record opens with a host_hw_threads field (std::thread::
-/// hardware_concurrency) stamped by the constructor: on a small-core or
-/// single-core host the per-op medians are the signal, not wall-clock
-/// scaling, and a committed BENCH_*.json without the host context is
-/// uninterpretable later. Emitters therefore never add the field by hand.
+/// record opens with the provenance the constructor stamps: host_hw_threads
+/// (std::thread::hardware_concurrency), the compiled SIMD backend
+/// (simd::backend_name), the compiler (__VERSION__) and the host's CPU
+/// model. On a small-core host the per-op medians are the signal, not
+/// wall-clock scaling, and a committed BENCH_*.json without the host and
+/// build context is uninterpretable later. Emitters therefore never add
+/// these fields by hand.
 class JsonRecord {
  public:
   JsonRecord() {
     field("host_hw_threads",
           static_cast<int>(std::thread::hardware_concurrency()));
+    field("simd_backend", simd::backend_name());
+    field("compiler", __VERSION__);
+    field("cpu_model", host_cpu_model());
   }
 
   JsonRecord& field(const char* key, int64_t v) {

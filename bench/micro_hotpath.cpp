@@ -273,8 +273,7 @@ int main(int argc, char** argv) {
   // sides run the twins) and the gate below is skipped.
   const int64_t sn = flags.get("simdn", n);
   auto report_simd = [&](const char* op, const PairedMedian& mm) {
-    json.add(report(op, "scalar", "simd", sn, mm)
-                 .field("simd_backend", simd::backend_name()));
+    json.add(report(op, "scalar", "simd", sn, mm));
   };
   const bool prev_simd = simd::set_enabled(true);
 

@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   // runtime toggle flips util/simd.hpp dispatch between interleaved runs).
   // Advisory only: the full solve is dominated by memory-bound descents, so
   // the kernel win shows as a modest end-to-end delta; the strict >=20%
-  // kernel gates live in micro_hotpath. On forced-scalar builds both sides
+  // kernel gates live in micro_hotpath. On scalar builds both sides
   // run the scalar twins and the row documents parity.
   WlisResult scal_wlis, simd_wlis;
   const bool prev_simd = simd::set_enabled(true);

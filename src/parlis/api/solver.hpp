@@ -55,9 +55,11 @@
 // serve::Engine::solve_warm also runs on its caller's thread.
 // Options.cancel / Options.deadline_ms are polled at frontier-round
 // boundaries and unwind as Error{kCancelled} / Error{kDeadlineExceeded}.
-// A budget rejection leaves resident_bytes() unchanged. Any failure unwinds
-// through the cache chokepoint, so a post-failure solve on the same Solver
-// is bit-identical to a cold one.
+// A WLIS dp value outside int64 (a chain's weight sum overflows) throws
+// Error{kOverflow} on every structure, SWGS and the fallback — it never
+// wraps. A budget rejection leaves resident_bytes() unchanged. Any failure
+// unwinds through the cache chokepoint, so a post-failure solve on the
+// same Solver is bit-identical to a cold one.
 #pragma once
 
 #include <cmath>
@@ -186,7 +188,10 @@ class Solver {
   }
 
   /// Weighted LIS (Alg. 2) with the Options-selected range structure,
-  /// under options().ties.
+  /// under options().ties. Weights are any int64 (wlis/wlis.hpp): negative
+  /// weights are legal and out.best counts the empty subsequence, so with
+  /// all weights negative out.dp = w and out.best = 0. A chain whose
+  /// weight sum leaves int64 throws Error{kOverflow}.
   void solve_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
                   WlisResult& out);
 

@@ -236,32 +236,16 @@ class TournamentTree {
 
   T* block(int64_t b) { return blocks_ + kBlockStride * b; }
 
+  // Minimum of the 8 contiguous entries at p. Plain scalar for every key
+  // type: a vector reduction measured no gain at construction, and after
+  // an extraction sweep's narrow stores a vector reload of the same 8
+  // entries cannot store-to-load forward, while 8-byte loads forward fine.
   T min8(const T* p) const {
-    if constexpr (kSimdKernels) {
-      return simd::min8_i64(p);
-    } else {
-      return min8_post(p);
+    T m = p[0];
+    for (int j = 1; j < 8; j++) {
+      if (less_(p[j], m)) m = p[j];
     }
-  }
-
-  // Post-sweep level refresh. Extraction sweeps store individual 8-byte
-  // entries (removed leaves -> inf, refreshed child minima) and immediately
-  // re-reduce the same 8 entries; a 32-byte vector reload there cannot
-  // store-to-load forward from the pending narrow stores and stalls on
-  // every extracted leaf, which costs more than the reduction itself. The
-  // refresh therefore always uses the scalar chain (8-byte loads forward
-  // fine); the vector min8 is kept for construction, where the fill loop's
-  // stores are vector-wide.
-  T min8_post(const T* p) const {
-    if constexpr (kSimdKernels) {
-      return simd::min8_i64_scalar(p);
-    } else {
-      T m = p[0];
-      for (int j = 1; j < 8; j++) {
-        if (less_(p[j], m)) m = p[j];
-      }
-      return m;
-    }
+    return m;
   }
 
   // Recomputes internal top-tree nodes below node i (`sub` = leaf slots
@@ -365,7 +349,7 @@ class TournamentTree {
         block_extract(blk, base, lmin, visit, vis);
       }
       charge(vis);
-      if constexpr (P != Pass::kCount) top_[i] = min8_post(blk);
+      if constexpr (P != Pass::kCount) top_[i] = min8(blk);
       return c;
     }
     const T left_min = top_[2 * i];  // read before the left descent mutates it
@@ -458,7 +442,7 @@ class TournamentTree {
           if (!(cur < w)) group_extract(blk, 8 * s + j, base, cur, visit, vis);
           if (w < cur) cur = w;
         }
-        blk[s] = min8_post(l2);
+        blk[s] = min8(l2);
         return;
       }
     }
@@ -471,7 +455,7 @@ class TournamentTree {
       }
       if (less_(w, cur)) cur = w;
     }
-    blk[s] = min8_post(l2);
+    blk[s] = min8(l2);
   }
 
   template <typename Visit>
@@ -506,7 +490,7 @@ class TournamentTree {
       }
       if (less_(x, cur)) cur = x;
     }
-    blk[kL2Off + g] = min8_post(leaf);
+    blk[kL2Off + g] = min8(leaf);
   }
 
   // Pass 1 within a block: identical sweeps, no mutation, returns the count.

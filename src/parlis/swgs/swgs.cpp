@@ -11,6 +11,7 @@
 #include "parlis/util/failpoint.hpp"
 #include "parlis/util/rank_space.hpp"
 #include "parlis/wlis/range_tree.hpp"
+#include "parlis/wlis/wlis.hpp"
 #include "parlis/wlis/wlis_workspace.hpp"
 
 namespace parlis {
@@ -143,7 +144,7 @@ void swgs_wlis_dispatch(std::span<const int64_t> a, std::span<const int64_t> w,
           parallel_for(0, fn, [&](int64_t t) {
             int64_t j = frontier[t];
             int64_t q = ws.tree.dominant_max(rsp.qpos[j], j);
-            out.dp[j] = w[j] + std::max<int64_t>(0, q);
+            out.dp[j] = internal::wlis_dp_step(w[j], q);
           });
           parallel_for(0, fn, [&](int64_t t) {
             ws.batch[t] = {rsp.pos[frontier[t]], out.dp[frontier[t]]};

@@ -40,6 +40,9 @@ enum class ErrorCode : uint8_t {
   /// configured to fail fast (serve::BackpressureMode::kReject) instead of
   /// blocking the caller until a slot frees up.
   kOverloaded,
+  /// A weighted-LIS dp value (the weight sum of an increasing chain) does
+  /// not fit in int64.
+  kOverflow,
 };
 
 constexpr std::string_view error_code_name(ErrorCode c) {
@@ -50,6 +53,7 @@ constexpr std::string_view error_code_name(ErrorCode c) {
     case ErrorCode::kBudgetExceeded: return "kBudgetExceeded";
     case ErrorCode::kFaultInjected: return "kFaultInjected";
     case ErrorCode::kOverloaded: return "kOverloaded";
+    case ErrorCode::kOverflow: return "kOverflow";
   }
   return "kUnknown";
 }

@@ -1,31 +1,33 @@
 // Vectorized comparison kernels: the one place SIMD lives.
 //
-// Every hot loop in this repo is a dense comparison sweep — min-of-8
-// tournament reductions, neighbor-compare run scans over sorted keys,
-// masked dominance scans over (y, score) leaves, nonzero probes over vEB
-// cluster words. This header provides those sweeps as free functions with
-// three properties the rest of the codebase relies on:
+// The hot loops that pay for hand-written vector code are dense comparison
+// sweeps: the 8-ary tournament level sweeps (candidate masks, prefix-min
+// leaf extraction and counting), the neighbor-compare run scan over sorted
+// keys, and the range tree's masked dominance scan. This header provides
+// those sweeps as free functions with three properties the rest of the
+// codebase relies on:
 //
-//  1. **Compile-time backend dispatch.** `PARLIS_SIMD` (CMake, default ON)
-//     compiles the vector paths; the backend is picked from the target ISA
-//     at compile time — AVX-512 when the F/DQ/BW/VL quartet is available
-//     (one 512-bit vector is a whole 8-ary tournament level, and compares
-//     write `__mmask` registers directly), else AVX2, else the 128-bit SSE
-//     path (SSE4.1/4.2 instructions when the target has them, SSE2
-//     emulations otherwise), else pure scalar. Non-x86 targets and
-//     `-DPARLIS_SIMD=OFF` builds compile cleanly to the scalar path — the
-//     vector code is preprocessed away, never #error'd.
+//  1. **Two backends, picked at compile time.** AVX-512 when the target
+//     has the F/DQ/BW/VL quartet (one 512-bit vector is a whole 8-ary
+//     tournament level, and compares write `__mmask` registers directly),
+//     scalar everywhere else: narrower x86 targets, non-x86 targets and
+//     ThreadSanitizer builds. A kernel keeps a vector form only where a
+//     paired bench measurement shows it paying; the loops whose vector
+//     forms measured no gain (the tournament's min-of-8 reductions, the
+//     vEB word blocks' summary and popcount sweeps, the range tree's
+//     bridge fills) are plain scalar code at their call sites.
 //  2. **The scalar twin is always compiled and reachable.** Every kernel
 //     `foo(...)` has a `foo_scalar(...)` twin with the same signature and
 //     bit-identical results, and the dispatching `foo` consults a process
 //     runtime toggle (`set_enabled`). The differential harness flips the
-//     toggle and diffs whole solves vectorized-vs-scalar in one process;
-//     the forced-scalar CI leg (-DPARLIS_SIMD=OFF) diffs across builds.
+//     toggle and diffs whole solves vectorized-vs-scalar in one process.
 //  3. **No hidden relaxation.** Each kernel's contract is stated in terms
 //     of the scalar loop it replaces, and the vector implementations follow
 //     the exact same comparison semantics (total order on int64/int32), so
 //     results are bit-for-bit equal — not "close enough". Nothing here
-//     touches floating point.
+//     touches floating point. Every intrinsic takes defined operands (the
+//     zero-masking `maskz` forms, never an undefined pass-through), so the
+//     native build compiles warning-clean.
 //
 // ThreadSanitizer: vector loads are invisible to TSan's instrumentation,
 // so a racy access inside a vector kernel would silently vanish from the
@@ -37,65 +39,33 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 
 // ----------------------------------------------------- backend selection ---
 
-// Widest ISA the target offers: 4 = AVX-512 (the F/DQ/BW/VL quartet — one
-// 512-bit vector holds a whole 8-ary tournament level and compares produce
-// __mmask8 bits directly), 3 = AVX2, 1 = 128-bit SSE.
-#if defined(__AVX512F__) && defined(__AVX512DQ__) && defined(__AVX512BW__) && \
-    defined(__AVX512VL__)
-#define PARLIS_SIMD_ISA_LEVEL 4
-#elif defined(__AVX2__)
-#define PARLIS_SIMD_ISA_LEVEL 3
-#else
-#define PARLIS_SIMD_ISA_LEVEL 1
-#endif
-
-#if defined(PARLIS_SIMD_ENABLED) && defined(__SSE2__) && \
-    (defined(__x86_64__) || defined(__i386__))
 #if defined(__SANITIZE_THREAD__)
-#define PARLIS_SIMD_BACKEND 0  // TSan: race-checkable scalar twins only
+#define PARLIS_SIMD_TSAN 1
 #elif defined(__has_feature)
 #if __has_feature(thread_sanitizer)
-#define PARLIS_SIMD_BACKEND 0
-#else
-#define PARLIS_SIMD_BACKEND PARLIS_SIMD_ISA_LEVEL
+#define PARLIS_SIMD_TSAN 1
 #endif
-#else
-#define PARLIS_SIMD_BACKEND PARLIS_SIMD_ISA_LEVEL
-#endif
-#else
-#define PARLIS_SIMD_BACKEND 0
 #endif
 
-#if PARLIS_SIMD_BACKEND >= 1
+#if defined(__AVX512F__) && defined(__AVX512DQ__) && defined(__AVX512BW__) && \
+    defined(__AVX512VL__) && !defined(PARLIS_SIMD_TSAN)
+#define PARLIS_SIMD_AVX512 1
 #include <immintrin.h>
+#else
+#define PARLIS_SIMD_AVX512 0
 #endif
 
 namespace parlis::simd {
 
-/// True when a vector backend is compiled in (the runtime toggle can still
-/// route every kernel to its scalar twin).
-inline constexpr bool kVectorized = PARLIS_SIMD_BACKEND >= 1;
+/// True when the AVX-512 backend is compiled in (the runtime toggle can
+/// still route every kernel to its scalar twin).
+inline constexpr bool kVectorized = PARLIS_SIMD_AVX512;
 
-/// Compiled backend, for bench/test introspection.
-inline const char* backend_name() {
-#if PARLIS_SIMD_BACKEND >= 4
-  return "avx512";
-#elif PARLIS_SIMD_BACKEND >= 3
-  return "avx2";
-#elif PARLIS_SIMD_BACKEND >= 1
-#if defined(__SSE4_2__)
-  return "sse4.2";
-#else
-  return "sse2";
-#endif
-#else
-  return "scalar";
-#endif
-}
+/// Compiled backend, for bench/test introspection: "avx512" or "scalar".
+inline const char* backend_name() { return kVectorized ? "avx512" : "scalar"; }
 
 // Runtime toggle: default on. The differential harness and the paired
 // scalar-vs-SIMD bench rows flip this to diff both paths in one process.
@@ -121,17 +91,7 @@ inline const char* active_backend_name() {
 //
 // Exactly the loops the vector kernels replace. These are the reference
 // implementations the tests diff against and the only code paths on
-// non-x86 / -DPARLIS_SIMD=OFF / TSan builds.
-
-/// Minimum of the 8 contiguous int64 at p (ties keep the value — min over a
-/// total order, so "first" vs "any" minimum is indistinguishable).
-inline int64_t min8_i64_scalar(const int64_t* p) {
-  int64_t m = p[0];
-  for (int j = 1; j < 8; j++) {
-    if (p[j] < m) m = p[j];
-  }
-  return m;
-}
+// non-AVX-512 and TSan builds.
 
 /// Candidate mask of an 8-ary tournament level: bit j set iff
 /// p[j] <= bound && p[j] < inf. The prefix-min sweep only ever enters or
@@ -172,7 +132,11 @@ inline uint32_t sweep8_extract_i64_scalar(int64_t* p, int64_t bound,
     }
     if (x < cur) cur = x;
   }
-  *new_min = min8_i64_scalar(p);
+  int64_t m = p[0];
+  for (int j = 1; j < 8; j++) {
+    if (p[j] < m) m = p[j];
+  }
+  *new_min = m;
   return extracted;
 }
 
@@ -222,270 +186,76 @@ inline int64_t masked_max_i64_scalar(const int32_t* y, const int64_t* scores,
   return best;
 }
 
-/// Fractional-cascading bridge fill: bridge[i] = #j in [lo, i) with
-/// order[j] < mid, offset by `cnt`; returns the final count. The exact
-/// loop of the range tree's fill_bridges.
-inline int32_t bridge_fill_i32_scalar(const int32_t* order, int64_t lo,
-                                      int64_t hi, int32_t mid, int32_t cnt,
-                                      int32_t* bridge) {
-  for (int64_t i = lo; i < hi; i++) {
-    bridge[i] = cnt;
-    cnt += order[i] < mid ? 1 : 0;
-  }
-  return cnt;
-}
+// ------------------------------------------------------ AVX-512 backend ----
 
-/// #i in [lo, hi) with order[i] < mid (pass 1 of the two-pass bridge scan).
-inline int32_t count_below_i32_scalar(const int32_t* order, int64_t lo,
-                                      int64_t hi, int32_t mid) {
-  int32_t c = 0;
-  for (int64_t i = lo; i < hi; i++) c += order[i] < mid ? 1 : 0;
-  return c;
-}
-
-/// Summary word over up to 64 cluster words: bit h set iff words[h] != 0.
-inline uint64_t summary_of_words_scalar(const uint64_t* words,
-                                        uint64_t nwords) {
-  uint64_t s = 0;
-  for (uint64_t h = 0; h < nwords; h++) {
-    if (words[h] != 0) s |= uint64_t{1} << h;
-  }
-  return s;
-}
-
-/// Total popcount over the cluster words.
-inline int64_t words_count_scalar(const uint64_t* words, uint64_t nwords) {
-  int64_t total = 0;
-  for (uint64_t h = 0; h < nwords; h++) total += std::popcount(words[h]);
-  return total;
-}
-
-// ------------------------------------------------------ vector backends ----
-
-#if PARLIS_SIMD_BACKEND >= 1
+#if PARLIS_SIMD_AVX512
 namespace detail {
 
-// 128-bit int64 helpers, with SSE2 emulations where SSE4.x is absent.
-inline __m128i cmpgt64(__m128i a, __m128i b) {
-#if defined(__SSE4_2__)
-  return _mm_cmpgt_epi64(a, b);
-#else
-  // Signed 64-bit a > b from 32-bit pieces: high halves decide unless
-  // equal, in which case the sign of the 64-bit (b - a) does.
-  __m128i r = _mm_and_si128(_mm_cmpeq_epi32(a, b), _mm_sub_epi64(b, a));
-  r = _mm_or_si128(r, _mm_cmpgt_epi32(a, b));
-  return _mm_shuffle_epi32(_mm_srai_epi32(r, 31), _MM_SHUFFLE(3, 3, 1, 1));
-#endif
-}
+// Lane shift toward higher indices by `by` quadwords, vacated low lanes
+// filled from the top of `fill`: valignr concatenates [v | fill] and takes
+// quadwords 8-by..15-by.
+#define PARLIS_SHIFT_UP_512(v, fill, by) \
+  _mm512_maskz_alignr_epi64(0xFF, v, fill, 8 - (by))
 
-inline __m128i cmpeq64(__m128i a, __m128i b) {
-#if defined(__SSE4_1__)
-  return _mm_cmpeq_epi64(a, b);
-#else
-  __m128i e = _mm_cmpeq_epi32(a, b);
-  return _mm_and_si128(e, _mm_shuffle_epi32(e, _MM_SHUFFLE(2, 3, 0, 1)));
-#endif
+inline __m512i min8x(__m512i a, __m512i b) {
+  return _mm512_maskz_min_epi64(0xFF, a, b);
 }
-
-inline __m128i blend64(__m128i a, __m128i b, __m128i mask) {
-#if defined(__SSE4_1__)
-  return _mm_blendv_epi8(a, b, mask);
-#else
-  return _mm_or_si128(_mm_and_si128(mask, b), _mm_andnot_si128(mask, a));
-#endif
-}
-
-inline __m128i min64x2(__m128i a, __m128i b) {
-  return blend64(a, b, cmpgt64(a, b));
-}
-inline __m128i max64x2(__m128i a, __m128i b) {
-  return blend64(b, a, cmpgt64(a, b));
-}
-
-inline int64_t hmin64(__m128i v) {
-  __m128i hi = _mm_unpackhi_epi64(v, v);
-  return _mm_cvtsi128_si64(min64x2(v, hi));
-}
-inline int64_t hmax64(__m128i v) {
-  __m128i hi = _mm_unpackhi_epi64(v, v);
-  return _mm_cvtsi128_si64(max64x2(v, hi));
-}
-
-inline uint32_t movemask64(__m128i m) {
-  return static_cast<uint32_t>(_mm_movemask_pd(_mm_castsi128_pd(m)));
-}
-
-#if PARLIS_SIMD_BACKEND >= 3
-inline __m256i min64x4(__m256i a, __m256i b) {
-  return _mm256_blendv_epi8(a, b, _mm256_cmpgt_epi64(a, b));
-}
-inline __m256i max64x4(__m256i a, __m256i b) {
-  return _mm256_blendv_epi8(b, a, _mm256_cmpgt_epi64(a, b));
-}
-inline uint32_t movemask64x4(__m256i m) {
-  return static_cast<uint32_t>(_mm256_movemask_pd(_mm256_castsi256_pd(m)));
-}
-#endif
-
-#if PARLIS_SIMD_BACKEND >= 4
-// Lane shift toward higher indices by (8 - imm) quadwords, vacated low
-// lanes filled from the top of `fill`: valignr concatenates [v | fill] and
-// takes quadwords imm..imm+7.
-#define PARLIS_SHIFT_UP_512(v, fill, by) _mm512_alignr_epi64(v, fill, 8 - (by))
 
 // Exclusive prefix-min over the 8 lanes of v seeded with `bound`:
 // e[j] = min(bound, v[0..j-1]). Three shift+min steps build the inclusive
 // prefix, one more shifts it to exclusive and folds the seed in.
-inline __m512i eprefix_min8_512(__m512i v, __m512i bound, __m512i inf) {
-  __m512i i = _mm512_min_epi64(v, PARLIS_SHIFT_UP_512(v, inf, 1));
-  i = _mm512_min_epi64(i, PARLIS_SHIFT_UP_512(i, inf, 2));
-  i = _mm512_min_epi64(i, PARLIS_SHIFT_UP_512(i, inf, 4));
-  return _mm512_min_epi64(bound, PARLIS_SHIFT_UP_512(i, inf, 1));
+inline __m512i eprefix_min8(__m512i v, __m512i bound, __m512i inf) {
+  __m512i i = min8x(v, PARLIS_SHIFT_UP_512(v, inf, 1));
+  i = min8x(i, PARLIS_SHIFT_UP_512(i, inf, 2));
+  i = min8x(i, PARLIS_SHIFT_UP_512(i, inf, 4));
+  return min8x(bound, PARLIS_SHIFT_UP_512(i, inf, 1));
 }
-#endif
 
-inline int64_t min8_i64_vec(const int64_t* p) {
-#if PARLIS_SIMD_BACKEND >= 4
-  return _mm512_reduce_min_epi64(_mm512_loadu_si512(p));
-#elif PARLIS_SIMD_BACKEND >= 3
-  __m256i v0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  __m256i v1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 4));
-  __m256i m = min64x4(v0, v1);
-  __m128i lo = _mm256_castsi256_si128(m);
-  __m128i hi = _mm256_extracti128_si256(m, 1);
-  return hmin64(min64x2(lo, hi));
-#else
-  __m128i v0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  __m128i v1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 2));
-  __m128i v2 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 4));
-  __m128i v3 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 6));
-  return hmin64(min64x2(min64x2(v0, v1), min64x2(v2, v3)));
-#endif
+// Horizontal min / max of 8 int64 lanes: halve 512 -> 256 -> 128 -> 64.
+inline int64_t hmin8(__m512i v) {
+  __m256i m = _mm256_min_epi64(_mm512_maskz_extracti64x4_epi64(0xF, v, 0),
+                               _mm512_maskz_extracti64x4_epi64(0xF, v, 1));
+  __m128i h = _mm_min_epi64(_mm256_castsi256_si128(m),
+                            _mm256_extracti128_si256(m, 1));
+  return _mm_cvtsi128_si64(_mm_min_epi64(h, _mm_unpackhi_epi64(h, h)));
+}
+
+inline int64_t hmax8(__m512i v) {
+  __m256i m = _mm256_max_epi64(_mm512_maskz_extracti64x4_epi64(0xF, v, 0),
+                               _mm512_maskz_extracti64x4_epi64(0xF, v, 1));
+  __m128i h = _mm_max_epi64(_mm256_castsi256_si128(m),
+                            _mm256_extracti128_si256(m, 1));
+  return _mm_cvtsi128_si64(_mm_max_epi64(h, _mm_unpackhi_epi64(h, h)));
+}
+
+// Lane j of the level passes iff v[j] <= e[j] && v[j] < inf.
+inline __mmask8 sweep_mask(__m512i v, __m512i e, __m512i inf) {
+  return _mm512_cmple_epi64_mask(v, e) & _mm512_cmplt_epi64_mask(v, inf);
 }
 
 inline uint32_t cand_mask8_i64_vec(const int64_t* p, int64_t bound,
                                    int64_t inf) {
-#if PARLIS_SIMD_BACKEND >= 4
-  __m512i v = _mm512_loadu_si512(p);
-  return static_cast<uint32_t>(
-      _mm512_cmple_epi64_mask(v, _mm512_set1_epi64(bound)) &
-      _mm512_cmplt_epi64_mask(v, _mm512_set1_epi64(inf)));
-#elif PARLIS_SIMD_BACKEND >= 3
-  __m256i B = _mm256_set1_epi64x(bound);
-  __m256i I = _mm256_set1_epi64x(inf);
-  __m256i v0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  __m256i v1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 4));
-  // p[j] <= bound  is  !(p[j] > bound);  p[j] < inf  is  inf > p[j].
-  __m256i ok0 = _mm256_andnot_si256(_mm256_cmpgt_epi64(v0, B),
-                                    _mm256_cmpgt_epi64(I, v0));
-  __m256i ok1 = _mm256_andnot_si256(_mm256_cmpgt_epi64(v1, B),
-                                    _mm256_cmpgt_epi64(I, v1));
-  return movemask64x4(ok0) | (movemask64x4(ok1) << 4);
-#else
-  __m128i B = _mm_set1_epi64x(bound);
-  __m128i I = _mm_set1_epi64x(inf);
-  uint32_t mask = 0;
-  for (int j = 0; j < 8; j += 2) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + j));
-    __m128i ok = _mm_andnot_si128(cmpgt64(v, B), cmpgt64(I, v));
-    mask |= movemask64(ok) << j;
-  }
-  return mask;
-#endif
-}
-
-#if PARLIS_SIMD_BACKEND >= 3
-// Lane shifts toward higher indices (4 x int64), filling vacated low lanes
-// from the low lanes of `in` — the building block of the prefix-min ladder.
-inline __m256i lshift1_64x4(__m256i v, __m256i in) {
-  __m256i t = _mm256_permute4x64_epi64(v, _MM_SHUFFLE(2, 1, 0, 0));
-  return _mm256_blend_epi32(t, in, 0x03);
-}
-inline __m256i lshift2_64x4(__m256i v, __m256i in) {
-  __m256i t = _mm256_permute4x64_epi64(v, _MM_SHUFFLE(1, 0, 0, 0));
-  return _mm256_blend_epi32(t, in, 0x0F);
-}
-
-// Exclusive prefix-min over the 8 lanes (v0 ++ v1) seeded with `bound`:
-// e[j] = min(bound, lanes 0..j-1). Also leaves min(bound, all of v0) in
-// *carry for the caller (the seed for any following vector).
-inline void eprefix_min8(__m256i v0, __m256i v1, __m256i bound, __m256i inf,
-                         __m256i* e0, __m256i* e1) {
-  __m256i i0 = min64x4(v0, lshift1_64x4(v0, inf));
-  i0 = min64x4(i0, lshift2_64x4(i0, inf));  // inclusive prefix-min of v0
-  *e0 = min64x4(bound, lshift1_64x4(i0, inf));
-  __m256i b1 =
-      min64x4(bound, _mm256_permute4x64_epi64(i0, _MM_SHUFFLE(3, 3, 3, 3)));
-  __m256i i1 = min64x4(v1, lshift1_64x4(v1, inf));
-  i1 = min64x4(i1, lshift2_64x4(i1, inf));
-  *e1 = min64x4(b1, lshift1_64x4(i1, inf));
+  return sweep_mask(_mm512_loadu_si512(p), _mm512_set1_epi64(bound),
+                    _mm512_set1_epi64(inf));
 }
 
 inline uint32_t sweep8_extract_i64_vec(int64_t* p, int64_t bound, int64_t inf,
                                        int64_t* new_min) {
-#if PARLIS_SIMD_BACKEND >= 4
   __m512i I = _mm512_set1_epi64(inf);
   __m512i v = _mm512_loadu_si512(p);
-  __m512i e = eprefix_min8_512(v, _mm512_set1_epi64(bound), I);
-  // Lane j extracted iff p[j] <= e[j] && p[j] < inf.
-  __mmask8 ext = _mm512_cmple_epi64_mask(v, e) & _mm512_cmplt_epi64_mask(v, I);
+  __mmask8 ext = sweep_mask(v, eprefix_min8(v, _mm512_set1_epi64(bound), I), I);
   __m512i nv = _mm512_mask_mov_epi64(v, ext, I);
   _mm512_storeu_si512(p, nv);
-  *new_min = _mm512_reduce_min_epi64(nv);
+  *new_min = hmin8(nv);
   return ext;
-#else
-  __m256i B = _mm256_set1_epi64x(bound);
-  __m256i I = _mm256_set1_epi64x(inf);
-  __m256i v0 = _mm256_loadu_si256(reinterpret_cast<__m256i*>(p));
-  __m256i v1 = _mm256_loadu_si256(reinterpret_cast<__m256i*>(p + 4));
-  __m256i e0, e1;
-  eprefix_min8(v0, v1, B, I, &e0, &e1);
-  // Lane j extracted iff p[j] <= e[j] && p[j] < inf.
-  __m256i x0 = _mm256_andnot_si256(_mm256_cmpgt_epi64(v0, e0),
-                                   _mm256_cmpgt_epi64(I, v0));
-  __m256i x1 = _mm256_andnot_si256(_mm256_cmpgt_epi64(v1, e1),
-                                   _mm256_cmpgt_epi64(I, v1));
-  __m256i n0 = _mm256_blendv_epi8(v0, I, x0);
-  __m256i n1 = _mm256_blendv_epi8(v1, I, x1);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), n0);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + 4), n1);
-  __m256i m = min64x4(n0, n1);
-  *new_min = hmin64(min64x2(_mm256_castsi256_si128(m),
-                            _mm256_extracti128_si256(m, 1)));
-  return movemask64x4(x0) | (movemask64x4(x1) << 4);
-#endif
 }
 
 inline int64_t sweep8_count_i64_vec(const int64_t* p, int64_t bound,
                                     int64_t inf) {
-#if PARLIS_SIMD_BACKEND >= 4
   __m512i I = _mm512_set1_epi64(inf);
   __m512i v = _mm512_loadu_si512(p);
-  __m512i e = eprefix_min8_512(v, _mm512_set1_epi64(bound), I);
   return std::popcount(static_cast<uint32_t>(
-      _mm512_cmple_epi64_mask(v, e) & _mm512_cmplt_epi64_mask(v, I)));
-#else
-  __m256i B = _mm256_set1_epi64x(bound);
-  __m256i I = _mm256_set1_epi64x(inf);
-  __m256i v0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  __m256i v1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 4));
-  __m256i e0, e1;
-  eprefix_min8(v0, v1, B, I, &e0, &e1);
-  __m256i x0 = _mm256_andnot_si256(_mm256_cmpgt_epi64(v0, e0),
-                                   _mm256_cmpgt_epi64(I, v0));
-  __m256i x1 = _mm256_andnot_si256(_mm256_cmpgt_epi64(v1, e1),
-                                   _mm256_cmpgt_epi64(I, v1));
-  return std::popcount(movemask64x4(x0) | (movemask64x4(x1) << 4));
-#endif
-}
-#endif  // PARLIS_SIMD_BACKEND >= 3
-
-// ORs `nbits` bits at bit offset `off` of the mask array (may straddle one
-// word boundary).
-inline void or_bits(uint64_t* out, int64_t off, uint64_t bits, int nbits) {
-  out[off >> 6] |= bits << (off & 63);
-  int spill = static_cast<int>(off & 63) + nbits - 64;
-  if (spill > 0) out[(off >> 6) + 1] |= bits >> (nbits - spill);
+      sweep_mask(v, eprefix_min8(v, _mm512_set1_epi64(bound), I), I)));
 }
 
 inline void run_masks_i64_vec(const int64_t* s, int64_t lo, int64_t hi,
@@ -494,29 +264,16 @@ inline void run_masks_i64_vec(const int64_t* s, int64_t lo, int64_t hi,
   for (int64_t w = 0; w < (n + 63) / 64; w++) out[w] = 0;
   if (force_first || s[lo] != s[lo - 1]) out[0] |= 1;
   int64_t p = lo + 1;
-#if PARLIS_SIMD_BACKEND >= 4
   for (; p + 8 <= hi; p += 8) {
-    __m512i a = _mm512_loadu_si512(s + p);
-    __m512i b = _mm512_loadu_si512(s + p - 1);
-    uint64_t neq = _mm512_cmpneq_epi64_mask(a, b);
-    if (neq) or_bits(out, p - lo, neq, 8);
+    uint64_t neq = _mm512_cmpneq_epi64_mask(_mm512_loadu_si512(s + p),
+                                            _mm512_loadu_si512(s + p - 1));
+    if (neq == 0) continue;
+    // OR the 8 bits in at offset p - lo (may straddle one word boundary).
+    const int64_t off = p - lo;
+    out[off >> 6] |= neq << (off & 63);
+    const int spill = static_cast<int>(off & 63) + 8 - 64;
+    if (spill > 0) out[(off >> 6) + 1] |= neq >> (8 - spill);
   }
-#elif PARLIS_SIMD_BACKEND >= 3
-  for (; p + 4 <= hi; p += 4) {
-    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + p));
-    __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s + p - 1));
-    uint64_t neq = (~movemask64x4(_mm256_cmpeq_epi64(a, b))) & 0xF;
-    if (neq) or_bits(out, p - lo, neq, 4);
-  }
-#else
-  for (; p + 2 <= hi; p += 2) {
-    __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(s + p));
-    __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(s + p - 1));
-    uint64_t neq = (~movemask64(cmpeq64(a, b))) & 0x3;
-    if (neq) or_bits(out, p - lo, neq, 2);
-  }
-#endif
   for (; p < hi; p++) {
     if (s[p] != s[p - 1]) {
       const int64_t off = p - lo;
@@ -529,7 +286,6 @@ inline int64_t masked_max_i64_vec(const int32_t* y, const int64_t* scores,
                                   int64_t lo, int64_t hi, int32_t qy,
                                   int64_t best) {
   int64_t p = lo;
-#if PARLIS_SIMD_BACKEND >= 4
   if (p + 8 <= hi) {
     __m256i Q = _mm256_set1_epi32(qy);
     __m512i acc = _mm512_set1_epi64(best);
@@ -539,239 +295,36 @@ inline int64_t masked_max_i64_vec(const int32_t* y, const int64_t* scores,
       if (sel == 0) continue;
       acc = _mm512_mask_max_epi64(acc, sel, acc, _mm512_loadu_si512(scores + p));
     }
-    best = _mm512_reduce_max_epi64(acc);
+    best = hmax8(acc);
   }
-#elif PARLIS_SIMD_BACKEND >= 3
-  if (p + 8 <= hi) {
-    __m256i Q = _mm256_set1_epi32(qy);
-    __m256i acc = _mm256_set1_epi64x(best);
-    __m256i lowest = _mm256_set1_epi64x(INT64_MIN);
-    for (; p + 8 <= hi; p += 8) {
-      __m256i yv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + p));
-      __m256i sel32 = _mm256_cmpgt_epi32(Q, yv);  // y[p] < qy per int32 lane
-      if (_mm256_testz_si256(sel32, sel32)) continue;
-      __m256i sel_lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(sel32));
-      __m256i sel_hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(sel32, 1));
-      __m256i s0 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(scores + p));
-      __m256i s1 =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(scores + p + 4));
-      acc = max64x4(acc, _mm256_blendv_epi8(lowest, s0, sel_lo));
-      acc = max64x4(acc, _mm256_blendv_epi8(lowest, s1, sel_hi));
-    }
-    __m128i m = max64x2(_mm256_castsi256_si128(acc),
-                        _mm256_extracti128_si256(acc, 1));
-    best = hmax64(m);
-  }
-#else
-  if (p + 4 <= hi) {
-    __m128i Q = _mm_set1_epi32(qy);
-    __m128i acc = _mm_set1_epi64x(best);
-    __m128i lowest = _mm_set1_epi64x(INT64_MIN);
-    for (; p + 4 <= hi; p += 4) {
-      __m128i yv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(y + p));
-      __m128i sel32 = _mm_cmpgt_epi32(Q, yv);
-      if (_mm_movemask_epi8(sel32) == 0) continue;
-      // Duplicate each int32 compare mask into the matching int64 lane.
-      __m128i sel_lo = _mm_unpacklo_epi32(sel32, sel32);
-      __m128i sel_hi = _mm_unpackhi_epi32(sel32, sel32);
-      __m128i s0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(scores + p));
-      __m128i s1 =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(scores + p + 2));
-      acc = max64x2(acc, blend64(lowest, s0, sel_lo));
-      acc = max64x2(acc, blend64(lowest, s1, sel_hi));
-    }
-    best = hmax64(acc);
-  }
-#endif
-  for (; p < hi; p++) {
-    if (y[p] < qy && scores[p] > best) best = scores[p];
-  }
-  return best;
-}
-
-inline int32_t bridge_fill_i32_vec(const int32_t* order, int64_t lo,
-                                   int64_t hi, int32_t mid, int32_t cnt,
-                                   int32_t* bridge) {
-  int64_t i = lo;
-#if PARLIS_SIMD_BACKEND >= 4
-  __m512i M = _mm512_set1_epi32(mid);
-  for (; i + 16 <= hi; i += 16) {
-    __m512i v = _mm512_loadu_si512(order + i);
-    uint32_t m = _mm512_cmplt_epi32_mask(v, M);
-    for (int j = 0; j < 16; j++) {
-      bridge[i + j] = cnt + std::popcount(m & ((uint32_t{1} << j) - 1));
-    }
-    cnt += std::popcount(m);
-  }
-#elif PARLIS_SIMD_BACKEND >= 3
-  __m256i M = _mm256_set1_epi32(mid);
-  for (; i + 8 <= hi; i += 8) {
-    __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(order + i));
-    uint32_t m = static_cast<uint32_t>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(M, v))));
-    int32_t c = cnt;
-    for (int j = 0; j < 8; j++) {
-      bridge[i + j] = c;
-      c += (m >> j) & 1;
-    }
-    cnt = c;
-  }
-#else
-  __m128i M = _mm_set1_epi32(mid);
-  for (; i + 4 <= hi; i += 4) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(order + i));
-    uint32_t m = static_cast<uint32_t>(
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmplt_epi32(v, M))));
-    int32_t c = cnt;
-    for (int j = 0; j < 4; j++) {
-      bridge[i + j] = c;
-      c += (m >> j) & 1;
-    }
-    cnt = c;
-  }
-#endif
-  for (; i < hi; i++) {
-    bridge[i] = cnt;
-    cnt += order[i] < mid ? 1 : 0;
-  }
-  return cnt;
-}
-
-inline int32_t count_below_i32_vec(const int32_t* order, int64_t lo,
-                                   int64_t hi, int32_t mid) {
-  int32_t c = 0;
-  int64_t i = lo;
-#if PARLIS_SIMD_BACKEND >= 4
-  __m512i M = _mm512_set1_epi32(mid);
-  for (; i + 16 <= hi; i += 16) {
-    __m512i v = _mm512_loadu_si512(order + i);
-    c += std::popcount(static_cast<uint32_t>(_mm512_cmplt_epi32_mask(v, M)));
-  }
-#elif PARLIS_SIMD_BACKEND >= 3
-  __m256i M = _mm256_set1_epi32(mid);
-  for (; i + 8 <= hi; i += 8) {
-    __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(order + i));
-    c += std::popcount(static_cast<uint32_t>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(M, v)))));
-  }
-#else
-  __m128i M = _mm_set1_epi32(mid);
-  for (; i + 4 <= hi; i += 4) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(order + i));
-    c += std::popcount(static_cast<uint32_t>(
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmplt_epi32(v, M)))));
-  }
-#endif
-  for (; i < hi; i++) c += order[i] < mid ? 1 : 0;
-  return c;
-}
-
-inline uint64_t summary_of_words_vec(const uint64_t* words, uint64_t nwords) {
-  uint64_t s = 0;
-  uint64_t h = 0;
-#if PARLIS_SIMD_BACKEND >= 4
-  for (; h + 8 <= nwords; h += 8) {
-    __m512i v = _mm512_loadu_si512(words + h);
-    uint64_t nz = _mm512_test_epi64_mask(v, v);  // bit j set iff word != 0
-    s |= nz << h;
-  }
-#elif PARLIS_SIMD_BACKEND >= 3
-  __m256i zero = _mm256_setzero_si256();
-  for (; h + 4 <= nwords; h += 4) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + h));
-    uint64_t nz = (~movemask64x4(_mm256_cmpeq_epi64(v, zero))) & 0xF;
-    s |= nz << h;
-  }
-#else
-  __m128i zero = _mm_setzero_si128();
-  for (; h + 2 <= nwords; h += 2) {
-    __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(words + h));
-    uint64_t nz = (~movemask64(cmpeq64(v, zero))) & 0x3;
-    s |= nz << h;
-  }
-#endif
-  for (; h < nwords; h++) {
-    if (words[h] != 0) s |= uint64_t{1} << h;
-  }
-  return s;
-}
-
-inline int64_t words_count_vec(const uint64_t* words, uint64_t nwords) {
-#if PARLIS_SIMD_BACKEND >= 4 && defined(__AVX512VPOPCNTDQ__)
-  __m512i acc = _mm512_setzero_si512();
-  uint64_t h = 0;
-  for (; h + 8 <= nwords; h += 8) {
-    acc = _mm512_add_epi64(acc,
-                           _mm512_popcnt_epi64(_mm512_loadu_si512(words + h)));
-  }
-  int64_t total = _mm512_reduce_add_epi64(acc);
-  for (; h < nwords; h++) total += std::popcount(words[h]);
-  return total;
-#elif PARLIS_SIMD_BACKEND >= 3
-  // Nibble-LUT popcount (no vpopcntq pre-AVX512): 32 bytes per step.
-  const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
-                                       3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2,
-                                       2, 3, 2, 3, 3, 4);
-  const __m256i low4 = _mm256_set1_epi8(0x0F);
-  __m256i acc = _mm256_setzero_si256();
-  uint64_t h = 0;
-  for (; h + 4 <= nwords; h += 4) {
-    __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + h));
-    __m256i lo = _mm256_and_si256(v, low4);
-    __m256i hi = _mm256_and_si256(_mm256_srli_epi32(v, 4), low4);
-    __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                  _mm256_shuffle_epi8(lut, hi));
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(cnt, _mm256_setzero_si256()));
-  }
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; h < nwords; h++) total += std::popcount(words[h]);
-  return total;
-#else
-  // Hardware popcnt already saturates a 128-bit pipe; scalar is the twin.
-  return words_count_scalar(words, nwords);
-#endif
+  return masked_max_i64_scalar(y, scores, p, hi, qy, best);
 }
 
 }  // namespace detail
-#endif  // PARLIS_SIMD_BACKEND >= 1
+#endif  // PARLIS_SIMD_AVX512
 
 // ------------------------------------------------------ dispatch wrappers --
 //
-// Each reads the runtime toggle once; on scalar-only builds the toggle is
+// Each reads the runtime toggle once; on scalar builds the toggle is
 // constant-false and the wrapper inlines to the twin.
 
-inline int64_t min8_i64(const int64_t* p) {
-#if PARLIS_SIMD_BACKEND >= 1
-  if (enabled()) return detail::min8_i64_vec(p);
-#endif
-  return min8_i64_scalar(p);
-}
-
 inline uint32_t cand_mask8_i64(const int64_t* p, int64_t bound, int64_t inf) {
-#if PARLIS_SIMD_BACKEND >= 1
+#if PARLIS_SIMD_AVX512
   if (enabled()) return detail::cand_mask8_i64_vec(p, bound, inf);
 #endif
   return cand_mask8_i64_scalar(p, bound, inf);
 }
 
-// The 128-bit backend keeps the scalar twins here: a 2-lane shift ladder
-// re-derives the exclusive prefix-min in more steps than the 8-element
-// scalar chain it would replace.
 inline uint32_t sweep8_extract_i64(int64_t* p, int64_t bound, int64_t inf,
                                    int64_t* new_min) {
-#if PARLIS_SIMD_BACKEND >= 3
+#if PARLIS_SIMD_AVX512
   if (enabled()) return detail::sweep8_extract_i64_vec(p, bound, inf, new_min);
 #endif
   return sweep8_extract_i64_scalar(p, bound, inf, new_min);
 }
 
 inline int64_t sweep8_count_i64(const int64_t* p, int64_t bound, int64_t inf) {
-#if PARLIS_SIMD_BACKEND >= 3
+#if PARLIS_SIMD_AVX512
   if (enabled()) return detail::sweep8_count_i64_vec(p, bound, inf);
 #endif
   return sweep8_count_i64_scalar(p, bound, inf);
@@ -779,11 +332,8 @@ inline int64_t sweep8_count_i64(const int64_t* p, int64_t bound, int64_t inf) {
 
 inline void run_masks_i64(const int64_t* s, int64_t lo, int64_t hi,
                           bool force_first, uint64_t* out) {
-#if PARLIS_SIMD_BACKEND >= 1
-  if (enabled()) {
-    detail::run_masks_i64_vec(s, lo, hi, force_first, out);
-    return;
-  }
+#if PARLIS_SIMD_AVX512
+  if (enabled()) return detail::run_masks_i64_vec(s, lo, hi, force_first, out);
 #endif
   run_masks_i64_scalar(s, lo, hi, force_first, out);
 }
@@ -791,42 +341,10 @@ inline void run_masks_i64(const int64_t* s, int64_t lo, int64_t hi,
 inline int64_t masked_max_i64(const int32_t* y, const int64_t* scores,
                               int64_t lo, int64_t hi, int32_t qy,
                               int64_t best) {
-#if PARLIS_SIMD_BACKEND >= 1
+#if PARLIS_SIMD_AVX512
   if (enabled()) return detail::masked_max_i64_vec(y, scores, lo, hi, qy, best);
 #endif
   return masked_max_i64_scalar(y, scores, lo, hi, qy, best);
-}
-
-inline int32_t bridge_fill_i32(const int32_t* order, int64_t lo, int64_t hi,
-                               int32_t mid, int32_t cnt, int32_t* bridge) {
-#if PARLIS_SIMD_BACKEND >= 1
-  if (enabled()) {
-    return detail::bridge_fill_i32_vec(order, lo, hi, mid, cnt, bridge);
-  }
-#endif
-  return bridge_fill_i32_scalar(order, lo, hi, mid, cnt, bridge);
-}
-
-inline int32_t count_below_i32(const int32_t* order, int64_t lo, int64_t hi,
-                               int32_t mid) {
-#if PARLIS_SIMD_BACKEND >= 1
-  if (enabled()) return detail::count_below_i32_vec(order, lo, hi, mid);
-#endif
-  return count_below_i32_scalar(order, lo, hi, mid);
-}
-
-inline uint64_t summary_of_words(const uint64_t* words, uint64_t nwords) {
-#if PARLIS_SIMD_BACKEND >= 1
-  if (enabled()) return detail::summary_of_words_vec(words, nwords);
-#endif
-  return summary_of_words_scalar(words, nwords);
-}
-
-inline int64_t words_count(const uint64_t* words, uint64_t nwords) {
-#if PARLIS_SIMD_BACKEND >= 1
-  if (enabled()) return detail::words_count_vec(words, nwords);
-#endif
-  return words_count_scalar(words, nwords);
 }
 
 }  // namespace parlis::simd

@@ -28,8 +28,6 @@
 #include <limits>
 #include <type_traits>
 
-#include "parlis/util/simd.hpp"
-
 namespace parlis::veb_words {
 
 inline constexpr uint64_t kWordNone = ~uint64_t{0};
@@ -180,9 +178,9 @@ inline uint64_t block_max(uint64_t summary, const uint64_t* words) {
   return (h << 6) | word_max(words[h]);
 }
 
-/// Reference (narrow) count: summary-guided word hops, one popcount per
-/// non-empty word. Kept as the twin the tests diff block_count against.
-inline int64_t block_count_ref(uint64_t summary, const uint64_t* words) {
+/// Number of keys in the block: summary-guided word hops, one popcount per
+/// non-empty word.
+inline int64_t block_count(uint64_t summary, const uint64_t* words) {
   int64_t total = 0;
   for (uint64_t s = summary; s != 0; s &= s - 1) {
     total += std::popcount(words[word_min(s)]);
@@ -190,25 +188,14 @@ inline int64_t block_count_ref(uint64_t summary, const uint64_t* words) {
   return total;
 }
 
-inline int64_t block_count(uint64_t summary, const uint64_t* words) {
-  if (summary == 0) return 0;
-  // Dense blocks: a straight-line popcount sweep up to the highest live
-  // word (vector nibble-LUT under AVX2, hardware popcnt otherwise) beats
-  // hopping the summary bits; sparse blocks keep the hop. Empty words
-  // contribute zero either way, so the cutover — deterministic, from the
-  // summary alone — never changes the result.
-  const uint64_t hw = word_max(summary) + 1;
-  if (simd::enabled() && static_cast<uint64_t>(std::popcount(summary)) * 2 >= hw) {
-    return simd::words_count(words, hw);
-  }
-  return block_count_ref(summary, words);
-}
-
-/// Recomputes a summary from the words (bulk loads, invariant checks):
-/// bit h set iff words[h] != 0. Vector compare-to-zero + movemask when the
-/// SIMD layer is on.
+/// Recomputes a summary from the words (the tree's invariant check):
+/// bit h set iff words[h] != 0.
 inline uint64_t block_summary_of(const uint64_t* words, uint64_t nwords) {
-  return parlis::simd::summary_of_words(words, nwords);
+  uint64_t s = 0;
+  for (uint64_t h = 0; h < nwords; h++) {
+    if (words[h] != 0) s |= uint64_t{1} << h;
+  }
+  return s;
 }
 
 /// Reference (narrow) succ probe: the pre-widening two-branch form, kept

@@ -24,6 +24,25 @@ static_assert(sizeof(std::atomic<int64_t>) == sizeof(int64_t),
 constexpr int64_t kLeafWidth = 8;
 constexpr int64_t kLeafParentWidth = 2 * kLeafWidth;
 
+// bridge[i] = #j in [lo, i) with order[j] < mid, offset by `cnt`; returns
+// the final count.
+int32_t bridge_fill(const int32_t* order, int64_t lo, int64_t hi, int32_t mid,
+                    int32_t cnt, int32_t* bridge) {
+  for (int64_t i = lo; i < hi; i++) {
+    bridge[i] = cnt;
+    cnt += order[i] < mid ? 1 : 0;
+  }
+  return cnt;
+}
+
+// #i in [lo, hi) with order[i] < mid (pass 1 of the two-pass bridge scan).
+int32_t count_below(const int32_t* order, int64_t lo, int64_t hi,
+                    int32_t mid) {
+  int32_t c = 0;
+  for (int64_t i = lo; i < hi; i++) c += order[i] < mid ? 1 : 0;
+  return c;
+}
+
 // Per-block exclusive count of "position falls in the left child": the
 // bridge table of one level. When there are few blocks (the top levels —
 // ultimately one block of size n), parallelism must come from inside the
@@ -42,13 +61,13 @@ void fill_bridges(int64_t n, int64_t width, const int32_t* order,
       int32_t mid = static_cast<int32_t>(lo + width / 2);
       int64_t nb = (len + kBlock - 1) / kBlock;
       if (nb <= 1) {
-        simd::bridge_fill_i32(order, lo, lo + len, mid, 0, bridge);
+        bridge_fill(order, lo, lo + len, mid, 0, bridge);
         continue;
       }
       if (static_cast<int64_t>(sums.size()) < nb) sums.resize(nb);
       parallel_for(0, nb, [&](int64_t blk) {
         int64_t s = lo + blk * kBlock, e = std::min(lo + len, s + kBlock);
-        sums[blk] = simd::count_below_i32(order, s, e, mid);
+        sums[blk] = count_below(order, s, e, mid);
       });
       int32_t total = 0;
       for (int64_t blk = 0; blk < nb; blk++) {
@@ -58,7 +77,7 @@ void fill_bridges(int64_t n, int64_t width, const int32_t* order,
       }
       parallel_for(0, nb, [&](int64_t blk) {
         int64_t s = lo + blk * kBlock, e = std::min(lo + len, s + kBlock);
-        simd::bridge_fill_i32(order, s, e, mid, sums[blk], bridge);
+        bridge_fill(order, s, e, mid, sums[blk], bridge);
       });
     }
     return;
@@ -67,7 +86,7 @@ void fill_bridges(int64_t n, int64_t width, const int32_t* order,
     int64_t lo = b * width;
     int64_t hi = std::min(n, lo + width);
     int32_t mid = static_cast<int32_t>(lo + width / 2);
-    simd::bridge_fill_i32(order, lo, hi, mid, 0, bridge);
+    bridge_fill(order, lo, hi, mid, 0, bridge);
   });
 }
 
@@ -347,7 +366,7 @@ void RangeTreeMax::dominant_max_group(const int64_t* qpos, const int64_t* qy,
   // int64 lanes (queries and updates run in disjoint phases — the scalar
   // twin's relaxed loads have no ordering to lose). The Fenwick folds
   // above stay scalar + prefetch: their addresses are serially dependent
-  // (i -= i & -i), which no pre-AVX2 ISA can gather.
+  // (i -= i & -i), which leaves no independent lanes to gather.
   for (int64_t t = 0; t < g; t++) {
     if (!live[t]) {
       out[t] = best[t];

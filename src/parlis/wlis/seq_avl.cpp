@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "parlis/wlis/wlis.hpp"
+
 namespace parlis {
 
 namespace {
@@ -114,7 +116,7 @@ void seq_avl_wlis_into(std::span<const int64_t> a, std::span<const int64_t> w,
   AvlWlis tree(a.size());
   dp.assign(a.size(), 0);
   for (size_t i = 0; i < a.size(); i++) {
-    dp[i] = w[i] + std::max<int64_t>(0, tree.max_below(a[i]));
+    dp[i] = internal::wlis_dp_step(w[i], tree.max_below(a[i]));
     tree.insert(a[i], dp[i]);
   }
 }

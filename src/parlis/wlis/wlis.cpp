@@ -122,7 +122,7 @@ void run_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
       ad.rs.dominant_max_batch(ws.qpos_buf.data(), f, fn, ws.qres.data());
       parallel_for(0, fn, [&](int64_t t) {
         int64_t j = f[t];
-        res.dp[j] = w[j] + std::max<int64_t>(0, ws.qres[t]);
+        res.dp[j] = internal::wlis_dp_step(w[j], ws.qres[t]);
       });
     } else {
       parallel_for(0, fn, [&](int64_t t) {
@@ -133,7 +133,7 @@ void run_wlis(std::span<const int64_t> a, std::span<const int64_t> w,
         } else {
           q = ad.rs.dominant_max(rsp.qpos[j], j);
         }
-        res.dp[j] = w[j] + std::max<int64_t>(0, q);
+        res.dp[j] = internal::wlis_dp_step(w[j], q);
       });
     }
     // Lines 17-18: publish the new scores as one batch. The frontier is

@@ -9,6 +9,18 @@
 //  * kRangeTree  — Sec. 4.1, O(n log^2 n) work (the practical choice),
 //  * kRangeVeb   — Sec. 4.2, Mono-vEB inner trees (the theoretical one).
 //
+// Weight contract:
+//  * Weights are any int64. Negative weights are legal: dp[i] always
+//    counts object i itself, so it can be negative, while `best` is the
+//    maximum over dp *and* the empty subsequence, so it is never below 0
+//    ({1, 2, 3} with weights {-3, -1, -2} gives dp = {-3, -1, -2} and
+//    best = 0).
+//  * A dp value must fit in int64. A chain whose weight sum leaves the
+//    int64 range throws Error{kOverflow} (util/error.hpp) from the round
+//    that computes it, on every structure and on the SWGS and Seq-AVL
+//    paths; nothing wraps. The throw unwinds through the workspace's
+//    cache chokepoint like any other failure.
+//
 // Entry points: `wlis` is the one-shot form (fresh workspace per call);
 // `wlis_into` injects a caller-owned WlisWorkspace and result buffers so a
 // warm same-size solve allocates nothing (the path parlis::Solver drives).
@@ -18,6 +30,7 @@
 #include <span>
 #include <vector>
 
+#include "parlis/util/error.hpp"
 #include "parlis/util/resident.hpp"
 
 namespace parlis {
@@ -40,6 +53,22 @@ struct WlisResult {
 };
 
 struct WlisWorkspace;  // wlis_workspace.hpp
+
+namespace internal {
+
+/// One step of Eq. (2), dp = w + max(0, q), with the addition checked:
+/// a sum outside int64 throws Error{kOverflow} instead of wrapping. Every
+/// dp site (the parallel rounds, SWGS, Seq-AVL) goes through this step.
+inline int64_t wlis_dp_step(int64_t w, int64_t q) {
+  int64_t dp;
+  if (__builtin_add_overflow(w, q > 0 ? q : 0, &dp)) [[unlikely]] {
+    throw Error(ErrorCode::kOverflow,
+                "weighted LIS: a chain's weight sum exceeds the int64 range");
+  }
+  return dp;
+}
+
+}  // namespace internal
 
 /// Weighted LIS of `a` with weights `w` (|w| == |a|).
 WlisResult wlis(std::span<const int64_t> a, std::span<const int64_t> w,

@@ -11,6 +11,7 @@
 #include <functional>
 #include <limits>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -314,6 +315,129 @@ TEST(EdgeCases, NanKeysAreRejectedBeforeAnyWorkspaceIsTouched) {
   EXPECT_EQ(out.dp, warm.dp);
   EXPECT_EQ(out.best, warm.best);
   EXPECT_EQ(out.k, warm.k);
+}
+
+// The WLIS weight contract (wlis/wlis.hpp). A chain whose weight sum leaves
+// int64 used to wrap ({1, 2, 3} with weights {INT64_MAX, 5, 7} came back
+// with best = INT64_MAX and dp[1] = INT64_MIN + 4); every path now throws
+// kOverflow and leaves its Solver bit-identical to a cold one. Negative
+// weights are legal: dp[i] = w[i] when nothing positive precedes i, and
+// best counts the empty subsequence.
+TEST(EdgeCases, WlisWeightOverflowThrowsAndNegativeWeightsArePinned) {
+  const std::vector<int64_t> keys = {1, 2, 3};
+  const std::vector<int64_t> huge = {std::numeric_limits<int64_t>::max(), 5,
+                                     7};
+  const std::vector<int64_t> ones = {1, 1, 1};
+  const std::vector<int64_t> neg = {-3, -1, -2};
+  const std::span<const int64_t> a(keys);
+
+  struct Path {
+    const char* name;
+    WlisStructure structure;
+    bool swgs;
+    uint64_t budget;  // 0: unlimited
+  };
+  // 128 KiB sits between the Seq-AVL fallback's estimate (~64 KiB of slack
+  // at n = 3) and the full build's (two slack terms plus the range tree).
+  const Path paths[] = {
+      {"kRangeTree", WlisStructure::kRangeTree, false, 0},
+      {"kRangeVeb", WlisStructure::kRangeVeb, false, 0},
+      {"kRangeVebTabulated", WlisStructure::kRangeVebTabulated, false, 0},
+      {"solve_swgs_wlis", WlisStructure::kRangeTree, true, 0},
+      {"budget fallback", WlisStructure::kRangeTree, false,
+       uint64_t{128} << 10},
+  };
+  for (const Path& p : paths) {
+    SCOPED_TRACE(p.name);
+    Options o;
+    o.structure = p.structure;
+    o.memory_budget_bytes = p.budget;
+    auto run = [&](Solver& s, const std::vector<int64_t>& w, WlisResult& out) {
+      if (p.swgs) {
+        s.solve_swgs_wlis(a, w, out);
+      } else {
+        s.solve_wlis(a, w, out);
+      }
+    };
+    Solver solver(o);
+    WlisResult out;
+    // Prime the value cache with the same keys, so the overflowing solve
+    // runs its rounds over warm state the chokepoint must then discard.
+    run(solver, ones, out);
+    try {
+      run(solver, huge, out);
+      ADD_FAILURE() << "expected Error{kOverflow}, got best=" << out.best;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kOverflow) << e.what();
+    }
+
+    // The next warm solve matches a cold one.
+    WlisResult warm, cold;
+    run(solver, ones, warm);
+    Solver fresh(o);
+    run(fresh, ones, cold);
+    EXPECT_EQ(warm.dp, cold.dp);
+    EXPECT_EQ(warm.best, cold.best);
+    EXPECT_EQ(warm.k, cold.k);
+    EXPECT_EQ(warm.dp, (std::vector<int64_t>{1, 2, 3}));
+
+    // Negative weights: no chain beats its own last element, and the
+    // empty subsequence wins.
+    WlisResult nr;
+    run(solver, neg, nr);
+    EXPECT_EQ(nr.dp, neg);
+    EXPECT_EQ(nr.best, 0);
+    EXPECT_EQ(nr.k, 3);
+  }
+
+  // Above sequential_cutoff the overflow is raised inside a parallel round:
+  // 2048 decreasing keys form round 1, 2048 larger decreasing keys round 2,
+  // and every round-2 element adds its weight to round 1's INT64_MAX, so
+  // the throw happens on pool workers and unwinds through the join.
+  constexpr int64_t kHalf = 2048;
+  std::vector<int64_t> big_keys(2 * kHalf);
+  for (int64_t i = 0; i < kHalf; i++) {
+    big_keys[i] = 10000 - i;
+    big_keys[kHalf + i] = 20000 - i;
+  }
+  ASSERT_GT(static_cast<int64_t>(big_keys.size()), Options{}.sequential_cutoff);
+  std::vector<int64_t> big_ones(big_keys.size(), 1);
+  std::vector<int64_t> big_huge = big_ones;
+  big_huge[5] = std::numeric_limits<int64_t>::max();
+  const std::span<const int64_t> ba(big_keys);
+  for (const Path& p : paths) {
+    SCOPED_TRACE(std::string("n=4096 ") + p.name);
+    Options o;
+    o.structure = p.structure;
+    // 512 KiB sits between the fallback's estimate at n = 4096 (~320 KiB)
+    // and the full build's (~750 KiB plus the range tree).
+    o.memory_budget_bytes = p.budget == 0 ? 0 : uint64_t{512} << 10;
+    auto run = [&](Solver& s, const std::vector<int64_t>& w, WlisResult& out) {
+      if (p.swgs) {
+        s.solve_swgs_wlis(ba, w, out);
+      } else {
+        s.solve_wlis(ba, w, out);
+      }
+    };
+    Solver solver(o);
+    WlisResult out;
+    run(solver, big_ones, out);
+    try {
+      run(solver, big_huge, out);
+      ADD_FAILURE() << "expected Error{kOverflow}, got best=" << out.best;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kOverflow) << e.what();
+    }
+    WlisResult warm, cold;
+    run(solver, big_ones, warm);
+    Solver fresh(o);
+    run(fresh, big_ones, cold);
+    EXPECT_EQ(warm.dp, cold.dp);
+    EXPECT_EQ(warm.best, cold.best);
+    EXPECT_EQ(warm.k, cold.k);
+    EXPECT_EQ(warm.best, 2);
+    EXPECT_EQ(warm.k, 2);
+  }
 }
 
 }  // namespace
